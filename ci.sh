@@ -75,6 +75,17 @@ echo "==> perf_pipeline --check"
 # valid JSON. No timing gates — CI machines are too noisy for that.
 cargo run -q --release -p bench --bin perf_pipeline -- --check
 
+echo "==> eqbench compile smoke"
+# Builds the benchmark (its own Cargo workspace over crates/*) and runs one
+# second of the compile workload, so an analysis/core API change that
+# breaks the benchmark fails here. The last output line is the result
+# JSON; it must report every extraction correct.
+BENCH_RESULT="$(bash eqbench/run.sh --workload compile --seed 1 --seconds 1 --trace 0 | tail -n 1)"
+case "$BENCH_RESULT" in
+    *'"correct":true'*) ;;
+    *) echo "eqbench compile smoke failed: $BENCH_RESULT" >&2; exit 1 ;;
+esac
+
 echo "==> service smoke test (persistent connection)"
 cargo build -q --release -p eqsql-cli -p service
 PORT_FILE="$(mktemp -u)"

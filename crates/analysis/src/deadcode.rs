@@ -56,7 +56,7 @@ fn sweep_block(b: &mut Block, live: &Liveness) -> usize {
     b.stmts.retain(|s| {
         let keep = match &s.kind {
             StmtKind::Assign { target, value } => {
-                live.after(s.id).contains(target) || has_side_effect(value)
+                live.is_live_after(s.id, *target) || has_side_effect(value)
             }
             StmtKind::Expr(e) => match e {
                 // A mutation of a dead collection is dead.
@@ -66,7 +66,7 @@ fn sweep_block(b: &mut Block, live: &Liveness) -> usize {
                     ..
                 } if crate::defuse::MUTATING_METHODS.contains(&name.as_str()) => {
                     match box_recv.as_ref() {
-                        Expr::Var(v) => live.after(s.id).contains(v) || has_side_effect(e),
+                        Expr::Var(v) => live.is_live_after(s.id, *v) || has_side_effect(e),
                         _ => true,
                     }
                 }

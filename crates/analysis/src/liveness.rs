@@ -16,39 +16,231 @@
 //! * `return` kills everything (including `extra_live_out`) except the
 //!   returned expression's reads.
 //!
+//! It is solved as a bit-vector problem. One pass over the function's
+//! [`StmtIndex`] and CFG numbers its variables densely and summarizes every
+//! statement and terminator as a gen/kill mask pair, so a worklist visit
+//! computes `(live − kill) ∪ gen` on [`BitSet`]s: no `DefUse` or
+//! `Expr::vars` call, and no allocation for functions of up to 128
+//! variables.
+//!
 //! Solving on the CFG makes `break`/`continue` paths exact (the structured
 //! predecessor implementation, kept as a test oracle in [`reference`],
 //! conservatively treated them as fall-through) and keeps loop-header
 //! reads — `while` conditions and `for` iterables — live around back
-//! edges, which the oracle under-approximated. `If` statement ids carry
-//! no fact — their conditions live on `Branch` terminators — and no
-//! consumer queries them; [`Liveness::after`] returns the empty set there.
+//! edges, which the oracle under-approximated. An `If` statement's id
+//! rides in its branching block, so its fact is the one at the condition;
+//! no consumer queries it.
 
 use intern::Symbol;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 use imp::ast::{Expr, Function, Stmt, StmtId, StmtKind};
 
-use crate::cfg::{Cfg, Terminator};
-use crate::dataflow::{self, Analysis, Direction};
-use crate::defuse::DefUse;
+use crate::cfg::{BlockId, Cfg, Terminator};
+use crate::dataflow::{self, Analysis, BitSet, Direction, StmtIndex};
 
 /// Per-statement liveness results.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Liveness {
+    /// The function's variables by bit: bit `i` of a fact is `vars[i]`.
+    /// Sorted by interned index, so a lookup compares integers.
+    vars: Vec<Symbol>,
+    /// Statement ids, ascending; `live_after[i]` belongs to `ids[i]`.
+    ids: Vec<StmtId>,
     /// Variables live immediately *after* each statement (program order;
     /// for a loop statement: after the whole loop).
-    pub live_after: BTreeMap<StmtId, BTreeSet<Symbol>>,
+    live_after: Vec<BitSet>,
 }
 
-/// The dataflow client: backward, powerset-of-variables lattice.
+/// What a transfer kills, before variables are numbered.
+#[derive(Clone, Copy)]
+enum Kill {
+    Nothing,
+    Var(Symbol),
+    All,
+}
+
+/// A transfer as masks: `live_before = (live_after − kill) ∪ gen`.
+#[derive(Debug, Clone)]
+struct GenKill {
+    gen: BitSet,
+    kill: BitSet,
+}
+
+impl GenKill {
+    fn new(vars: &[Symbol], gen: &[Symbol], kill: Kill) -> GenKill {
+        let mut mask = GenKill {
+            gen: BitSet::with_capacity(vars.len()),
+            kill: BitSet::with_capacity(vars.len()),
+        };
+        for v in gen {
+            mask.gen.insert(bit(vars, *v));
+        }
+        match kill {
+            Kill::Nothing => {}
+            Kill::Var(v) => mask.kill.insert(bit(vars, v)),
+            Kill::All => mask.kill = BitSet::full(vars.len()),
+        }
+        mask
+    }
+
+    fn apply(&self, live: &BitSet) -> BitSet {
+        let mut out = live.clone();
+        out.difference_with(&self.kill);
+        out.union_with(&self.gen);
+        out
+    }
+}
+
+/// The bit of `v` in the numbering `vars`.
+fn bit(vars: &[Symbol], v: Symbol) -> usize {
+    vars.binary_search_by_key(&v.index(), |x| x.index())
+        .unwrap_or_else(|_| panic!("liveness: variable `{v}` is not numbered"))
+}
+
+/// Push every variable `e` mentions onto `out`.
+fn reads(e: &Expr, out: &mut Vec<Symbol>) {
+    e.walk(&mut |x| {
+        if let Expr::Var(v) = x {
+            out.push(*v);
+        }
+    });
+}
+
+/// Push the variables statement `s` makes live onto `gen` and return what
+/// it kills.
+fn stmt_effect(s: &Stmt, gen: &mut Vec<Symbol>) -> Kill {
+    match &s.kind {
+        // Nothing after a return is live through it (the `Return`
+        // terminator does the same; both are idempotent).
+        StmtKind::Return(v) => {
+            if let Some(v) = v {
+                reads(v, gen);
+            }
+            Kill::All
+        }
+        StmtKind::ForEach { var, iterable, .. } => {
+            reads(iterable, gen);
+            Kill::Var(*var)
+        }
+        StmtKind::Expr(Expr::MethodCall { recv, name, args })
+            if crate::defuse::MUTATING_METHODS.contains(&name.as_str())
+                && matches!(recv.as_ref(), Expr::Var(_)) =>
+        {
+            for a in args {
+                reads(a, gen);
+            }
+            Kill::Nothing
+        }
+        // Everything else is `(live − (defs − uses)) ∪ uses` over
+        // `DefUse::of_stmt`. Its uses are every variable the statement's
+        // own expressions mention, and the only def that is not also a use
+        // is an assignment's target (a mutated receiver is read too).
+        // Killing the target unconditionally is the same transfer, since
+        // gen is applied after kill and re-adds a target the RHS reads. A
+        // `While` id lands here with its condition, which the `Branch`
+        // terminator reads again.
+        StmtKind::Assign { target, value } => {
+            reads(value, gen);
+            Kill::Var(*target)
+        }
+        StmtKind::Expr(e) | StmtKind::If { cond: e, .. } | StmtKind::While { cond: e, .. } => {
+            reads(e, gen);
+            Kill::Nothing
+        }
+        StmtKind::Print(es) => {
+            for e in es {
+                reads(e, gen);
+            }
+            Kill::Nothing
+        }
+        StmtKind::Break | StmtKind::Continue => Kill::Nothing,
+    }
+}
+
+/// [`stmt_effect`] for a block terminator.
+fn terminator_effect(t: &Terminator, gen: &mut Vec<Symbol>) -> Kill {
+    match t {
+        Terminator::Branch { cond, .. } => {
+            reads(cond, gen);
+            Kill::Nothing
+        }
+        Terminator::Return(v) => {
+            if let Some(v) = v {
+                reads(v, gen);
+            }
+            Kill::All
+        }
+        Terminator::ForDispatch { .. } | Terminator::Goto(_) | Terminator::End => Kill::Nothing,
+    }
+}
+
+/// The dataflow client: backward, bitset-of-variables lattice.
 struct LiveAnalysis {
+    /// Bit numbering (see [`Liveness::vars`]).
+    vars: Vec<Symbol>,
+    /// One mask per statement position, then one per block terminator.
+    masks: Vec<GenKill>,
+    /// Number of statements (the terminator masks start here).
+    stmts: usize,
     /// Variables live at function exit besides `return` reads.
-    extra_live_out: BTreeSet<Symbol>,
+    boundary: BitSet,
+}
+
+impl LiveAnalysis {
+    /// Number the variables and summarize every statement and terminator
+    /// in one pass.
+    fn new(cfg: &Cfg, index: &StmtIndex<'_>, extra_live_out: &BTreeSet<Symbol>) -> LiveAnalysis {
+        let mut effects = Vec::with_capacity(index.len() + cfg.blocks.len());
+        // Room for a few reads per statement and terminator, so the buffer
+        // rarely grows.
+        let mut gen = Vec::with_capacity(4 * effects.capacity());
+        for (_, s) in index.iter() {
+            let kill = stmt_effect(s, &mut gen);
+            effects.push((gen.len(), kill));
+        }
+        for b in &cfg.blocks {
+            let kill = match &b.terminator {
+                Some(t) => terminator_effect(t, &mut gen),
+                None => Kill::Nothing,
+            };
+            effects.push((gen.len(), kill));
+        }
+
+        let mut vars = Vec::with_capacity(gen.len() + effects.len() + extra_live_out.len());
+        vars.extend(&gen);
+        vars.extend(effects.iter().filter_map(|(_, k)| match k {
+            Kill::Var(v) => Some(*v),
+            _ => None,
+        }));
+        vars.extend(extra_live_out);
+        vars.sort_unstable_by_key(|v| v.index());
+        vars.dedup();
+
+        let mut start = 0;
+        let masks = effects
+            .into_iter()
+            .map(|(end, kill)| {
+                let mask = GenKill::new(&vars, &gen[start..end], kill);
+                start = end;
+                mask
+            })
+            .collect();
+        let mut boundary = BitSet::with_capacity(vars.len());
+        for v in extra_live_out {
+            boundary.insert(bit(&vars, *v));
+        }
+        LiveAnalysis {
+            vars,
+            masks,
+            stmts: index.len(),
+            boundary,
+        }
+    }
 }
 
 impl Analysis for LiveAnalysis {
-    type Fact = BTreeSet<Symbol>;
+    type Fact = BitSet;
 
     fn name(&self) -> &'static str {
         "liveness"
@@ -58,77 +250,42 @@ impl Analysis for LiveAnalysis {
         Direction::Backward
     }
 
-    fn bottom(&self) -> Self::Fact {
-        BTreeSet::new()
+    fn bottom(&self) -> BitSet {
+        BitSet::with_capacity(self.vars.len())
     }
 
-    fn boundary(&self, _f: &Function) -> Self::Fact {
-        self.extra_live_out.clone()
+    fn boundary(&self, _f: &Function) -> BitSet {
+        self.boundary.clone()
     }
 
-    fn join(&self, a: &Self::Fact, b: &Self::Fact) -> Self::Fact {
-        a.union(b).cloned().collect()
+    fn join(&self, a: &BitSet, b: &BitSet) -> BitSet {
+        let mut out = a.clone();
+        out.union_with(b);
+        out
     }
 
-    fn transfer_stmt(&self, s: &Stmt, live_after: &Self::Fact) -> Self::Fact {
-        match &s.kind {
-            StmtKind::Return(v) => {
-                // Nothing after a return is live through it (the `Return`
-                // terminator transfer does the same; both are idempotent).
-                v.as_ref()
-                    .map(|v| v.vars().into_iter().collect())
-                    .unwrap_or_default()
-            }
-            StmtKind::ForEach { var, iterable, .. } => {
-                let mut live = live_after.clone();
-                live.remove(var);
-                live.extend(iterable.vars());
-                live
-            }
-            StmtKind::Expr(Expr::MethodCall { recv, name, args })
-                if crate::defuse::MUTATING_METHODS.contains(&name.as_str())
-                    && matches!(recv.as_ref(), Expr::Var(_)) =>
-            {
-                let mut live = live_after.clone();
-                for a in args {
-                    live.extend(a.vars());
-                }
-                live
-            }
-            // `If` never reaches here (its id sits in no block); a `While`
-            // id does, but its condition is read by the `Branch` terminator
-            // and it defines nothing, so the default case is exact for it.
-            _ => {
-                let du = DefUse::of_stmt(s);
-                let mut live = live_after.clone();
-                for d in &du.defs {
-                    if !du.uses.contains(d) {
-                        live.remove(d);
-                    }
-                }
-                live.extend(du.uses.iter().cloned());
-                live
-            }
-        }
+    fn transfer_stmt(&self, s: &Stmt, live_after: &BitSet) -> BitSet {
+        let mut gen = Vec::new();
+        let kill = stmt_effect(s, &mut gen);
+        GenKill::new(&self.vars, &gen, kill).apply(live_after)
     }
 
-    fn transfer_terminator(&self, t: &Terminator, fact: &Self::Fact) -> Self::Fact {
-        match t {
-            Terminator::Branch { cond, .. } => {
-                let mut live = fact.clone();
-                live.extend(cond.vars());
-                live
-            }
-            Terminator::Return(v) => v
-                .as_ref()
-                .map(|v| v.vars().into_iter().collect())
-                .unwrap_or_default(),
-            Terminator::ForDispatch { .. } | Terminator::Goto(_) | Terminator::End => fact.clone(),
-        }
+    fn transfer_stmt_at(&self, pos: usize, _s: &Stmt, live_after: &BitSet) -> BitSet {
+        self.masks[pos].apply(live_after)
     }
 
-    fn height(&self, f: &Function) -> usize {
-        dataflow::variable_universe(f).len() + self.extra_live_out.len() + 1
+    fn transfer_terminator(&self, t: &Terminator, fact: &BitSet) -> BitSet {
+        let mut gen = Vec::new();
+        let kill = terminator_effect(t, &mut gen);
+        GenKill::new(&self.vars, &gen, kill).apply(fact)
+    }
+
+    fn transfer_terminator_at(&self, b: BlockId, _t: &Terminator, fact: &BitSet) -> BitSet {
+        self.masks[self.stmts + b.0].apply(fact)
+    }
+
+    fn height(&self, _f: &Function) -> usize {
+        self.vars.len() + 1
     }
 }
 
@@ -138,33 +295,56 @@ impl Liveness {
     /// (e.g. out-parameters of an inlined procedure).
     pub fn compute(f: &Function, extra_live_out: &BTreeSet<Symbol>) -> Liveness {
         let cfg = Cfg::build(f);
-        let a = LiveAnalysis {
-            extra_live_out: extra_live_out.clone(),
-        };
-        let sol = dataflow::solve_cfg(&a, f, &cfg);
-        let mut live_after = sol.after.clone();
+        let index = StmtIndex::build(f);
+        let a = LiveAnalysis::new(&cfg, &index, extra_live_out);
         // A loop header's replayed fact is the live set at the loop *top*
         // (it joins the body's live-in); consumers want the program-order
         // set after the whole statement, which is the exit block's entry.
-        let stmts = dataflow::stmt_index(f);
-        for b in &cfg.blocks {
-            let Some(&id) = b.stmts.last() else { continue };
-            match (&b.terminator, stmts.get(&id).map(|s| &s.kind)) {
-                (Some(Terminator::ForDispatch { exit, .. }), Some(StmtKind::ForEach { .. })) => {
-                    live_after.insert(id, sol.entry[exit.0].clone());
+        let loop_exits: Vec<(usize, BlockId)> = cfg
+            .blocks
+            .iter()
+            .filter_map(|b| {
+                let pos = index.position(*b.stmts.last()?)?;
+                match (&b.terminator, &index.stmt(pos).kind) {
+                    (Some(Terminator::ForDispatch { exit, .. }), StmtKind::ForEach { .. }) => {
+                        Some((pos, *exit))
+                    }
+                    (Some(Terminator::Branch { else_to, .. }), StmtKind::While { .. }) => {
+                        Some((pos, *else_to))
+                    }
+                    _ => None,
                 }
-                (Some(Terminator::Branch { else_to, .. }), Some(StmtKind::While { .. })) => {
-                    live_after.insert(id, sol.entry[else_to.0].clone());
-                }
-                _ => {}
-            }
+            })
+            .collect();
+        let sol = dataflow::solve_indexed(&a, f, &cfg, index);
+        let mut live_after = sol.after;
+        for (pos, exit) in loop_exits {
+            live_after[pos] = sol.entry[exit.0].clone();
         }
-        Liveness { live_after }
+        Liveness {
+            vars: a.vars,
+            ids: sol.ids,
+            live_after,
+        }
+    }
+
+    /// True when `var` is live just after statement `id`; false for an
+    /// unknown statement or a variable the function never mentions.
+    pub fn is_live_after(&self, id: StmtId, var: Symbol) -> bool {
+        let Some(pos) = dataflow::position_of(&self.ids, id) else {
+            return false;
+        };
+        self.vars
+            .binary_search_by_key(&var.index(), |v| v.index())
+            .is_ok_and(|b| self.live_after[pos].contains(b))
     }
 
     /// Variables live after statement `id`, empty set when unknown.
     pub fn after(&self, id: StmtId) -> BTreeSet<Symbol> {
-        self.live_after.get(&id).cloned().unwrap_or_default()
+        match dataflow::position_of(&self.ids, id) {
+            Some(pos) => self.live_after[pos].iter().map(|b| self.vars[b]).collect(),
+            None => BTreeSet::new(),
+        }
     }
 }
 
@@ -177,7 +357,9 @@ impl Liveness {
 #[cfg(any(test, feature = "test-oracles"))]
 pub mod reference {
     use super::*;
+    use crate::defuse::DefUse;
     use imp::ast::Block;
+    use std::collections::BTreeMap;
 
     /// Per-statement liveness results of the structured-AST oracle.
     #[derive(Debug, Clone, Default, PartialEq, Eq)]

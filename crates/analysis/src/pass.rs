@@ -269,7 +269,6 @@ impl Pass for LivenessPass {
         let mut found: Vec<(imp::token::Span, String)> = Vec::new();
         for s in &cx.function.body.stmts {
             if let StmtKind::ForEach { var, body, .. } = &s.kind {
-                let after = live.after(s.id);
                 let mut updated = BTreeSet::new();
                 walk_stmts(body, true, &mut |inner, _| {
                     if let StmtKind::Assign { target, .. } = &inner.kind {
@@ -278,7 +277,7 @@ impl Pass for LivenessPass {
                 });
                 updated.remove(var);
                 for v in updated {
-                    if !after.contains(&v) {
+                    if !live.is_live_after(s.id, v) {
                         found.push((s.span, v.to_string()));
                     }
                 }

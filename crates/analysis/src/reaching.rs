@@ -106,7 +106,7 @@ impl ReachingDefs {
     /// Definition sites reaching the program point just before `id`
     /// (empty when the statement is unknown).
     pub fn before(&self, id: StmtId) -> BTreeSet<DefSite> {
-        self.sol.before.get(&id).cloned().unwrap_or_default()
+        self.sol.before(id).cloned().unwrap_or_default()
     }
 
     /// The statements that may have defined `var` last, observed just

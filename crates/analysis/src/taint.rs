@@ -125,7 +125,7 @@ impl Pass for TaintPass {
         let sol = dataflow::solve(&TaintAnalysis, cx.function);
         let mut found: Vec<(imp::token::Span, String, Option<String>)> = Vec::new();
         crate::pass::walk_stmts(&cx.function.body, false, &mut |s, _| {
-            let Some(tainted) = sol.before.get(&s.id) else {
+            let Some(tainted) = sol.before(s.id) else {
                 return;
             };
             for e in crate::pass::stmt_exprs(&s.kind) {

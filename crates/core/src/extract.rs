@@ -586,7 +586,6 @@ impl Extractor {
         });
 
         for cand in candidates {
-            let live_after = liveness.after(cand.stmt);
             let loop_span = stmt_span(&f.body, cand.stmt).unwrap_or_default();
             // A loop with residual external writes (updates, prints) must
             // never be removed: SQL may still be reported for its variables
@@ -601,7 +600,7 @@ impl Extractor {
             let mut loop_ok = true;
             let mut loop_vars: Vec<VarExtraction> = Vec::new();
             for (var, node) in &cand.entries {
-                if !live_after.contains(var) {
+                if !liveness.is_live_after(cand.stmt, *var) {
                     continue; // dead after the loop; nothing to extract
                 }
                 let outcome;
@@ -771,7 +770,7 @@ impl Extractor {
                     fname,
                     cand.stmt,
                     loop_span,
-                    &live_after,
+                    &liveness,
                     &mut stage,
                     certification.as_mut(),
                 ) {
@@ -976,7 +975,7 @@ impl Extractor {
         fname: &str,
         loop_stmt: StmtId,
         loop_span: imp::token::Span,
-        live_after: &std::collections::BTreeSet<intern::Symbol>,
+        liveness: &Liveness,
         stage: &mut StageTimes,
         certification: Option<&mut CertSummary>,
     ) -> Option<DmlOutcome> {
@@ -1062,7 +1061,7 @@ impl Extractor {
         // Removing the loop drops its scalar assignments too: every
         // variable the body defines must be dead afterwards.
         let defs = block_defs(body);
-        if let Some(v) = defs.iter().find(|v| live_after.contains(*v)) {
+        if let Some(v) = defs.iter().find(|v| liveness.is_live_after(loop_stmt, **v)) {
             stage.depend_ns += depend_started.elapsed().as_nanos() as u64;
             return Some(w010(format!(
                 "the loop is batchable, but `{v}` is assigned in the body \

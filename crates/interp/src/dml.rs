@@ -27,8 +27,10 @@
 //!   per-row loop's behaviour.
 //! * Key comparisons use SQL equality: `NULL` matches nothing, even
 //!   another `NULL`.
-//! * The paged backend serves `INSERT`; `UPDATE`/`DELETE` on a paged
-//!   table report a clear error instead of corrupting state.
+//! * Both backends serve every form. `INSERT` appends; `UPDATE`/`DELETE`
+//!   on a paged table materialize its rows, apply the statement, and
+//!   rewrite the table, leaving the same contents the in-memory backend
+//!   would.
 
 use algebra::parse::parse_sql;
 use dbms::eval::eval_query;

@@ -66,6 +66,9 @@ pub struct StageCounters {
     pub certify_ns: AtomicU64,
     /// Proof obligations checked by the certifier across all jobs.
     pub obligations_checked: AtomicU64,
+    /// Loop-carried dependence analysis and foreach-dml lowering of write
+    /// loops across all jobs.
+    pub depend_ns: AtomicU64,
 }
 
 impl StageCounters {
@@ -85,6 +88,7 @@ impl StageCounters {
         self.certify_ns.fetch_add(t.certify_ns, Ordering::Relaxed);
         self.obligations_checked
             .fetch_add(t.obligations_checked, Ordering::Relaxed);
+        self.depend_ns.fetch_add(t.depend_ns, Ordering::Relaxed);
     }
 }
 
@@ -348,6 +352,7 @@ pub fn render(
         ("sqlgen", &stages.sqlgen_ns),
         ("rewrite", &stages.rewrite_ns),
         ("certify", &stages.certify_ns),
+        ("depend", &stages.depend_ns),
     ] {
         let v = if deterministic {
             0
@@ -470,6 +475,10 @@ mod tests {
         stages.peak_dag_nodes.store(40, Ordering::Relaxed);
         stages.rule_cache_hits.store(7, Ordering::Relaxed);
         stages.obligations_checked.store(5, Ordering::Relaxed);
+        stages.absorb(&eqsql_core::StageTimes {
+            depend_ns: 777,
+            ..Default::default()
+        });
         let fuzz = FuzzCounters::default();
         fuzz.absorb(200, 1, 0);
         let lints = LintCounters::default();
@@ -517,6 +526,7 @@ mod tests {
         assert!(a.contains("eqsql_rule_cache_hits_total 7"));
         assert!(a.contains("eqsql_obligations_checked_total 5"));
         assert!(a.contains("eqsql_stage_ns_total{stage=\"certify\"} 0"));
+        assert!(a.contains("eqsql_stage_ns_total{stage=\"depend\"} 777"));
         assert!(a.contains("eqsql_fuzz_iterations_total 200"));
         assert!(a.contains("eqsql_fuzz_divergences_total 1"));
         assert!(a.contains("eqsql_fuzz_panics_total 0"));
@@ -543,6 +553,7 @@ mod tests {
             true,
         );
         assert!(det.contains("eqsql_stage_ns_total{stage=\"dir\"} 0"));
+        assert!(det.contains("eqsql_stage_ns_total{stage=\"depend\"} 0"));
         assert!(det.contains("eqsql_bufpool_hits_total 0"));
         assert!(det.contains("eqsql_bufpool_misses_total 0"));
         assert!(det.contains("eqsql_bufpool_evictions_total 0"));

@@ -15,15 +15,19 @@
 //!    port of liveness refines the structured reference oracle up to
 //!    loop-header reads, and every reaching-definition site is a statement
 //!    that can actually define the variable.
+//!
+//! A fourth check pins the bitset encoding of liveness down: on every
+//! corpus, workload and seeded fuzz function it must equal, fact for fact,
+//! the same problem solved by the framework over `BTreeSet<Symbol>` facts.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 use analysis::cfg::{BlockId, Cfg, Terminator};
 use analysis::dataflow::{self, Analysis, Direction};
 use analysis::defuse::{DefUse, DefUseCtx};
 use analysis::liveness::{reference, Liveness};
 use analysis::reaching::ReachingDefs;
-use imp::ast::{Expr, Function, Stmt, StmtKind};
+use imp::ast::{Block, Expr, Function, Stmt, StmtId, StmtKind};
 use intern::Symbol;
 use proptest::prelude::*;
 
@@ -520,4 +524,268 @@ fn reaching_defs_cover_uses_on_corpus() {
             }
         }
     }
+}
+
+// --- Bitset liveness vs. a set-based client of the same framework -------
+
+/// Liveness written over `BTreeSet<Symbol>` facts with `DefUse` and
+/// `Expr::vars`: the transfers `analysis::liveness` encodes as gen/kill
+/// bit masks.
+struct SetLiveness {
+    extra_live_out: BTreeSet<Symbol>,
+}
+
+impl Analysis for SetLiveness {
+    type Fact = BTreeSet<Symbol>;
+    fn name(&self) -> &'static str {
+        "set-liveness"
+    }
+    fn direction(&self) -> Direction {
+        Direction::Backward
+    }
+    fn bottom(&self) -> Self::Fact {
+        BTreeSet::new()
+    }
+    fn boundary(&self, _f: &Function) -> Self::Fact {
+        self.extra_live_out.clone()
+    }
+    fn join(&self, a: &Self::Fact, b: &Self::Fact) -> Self::Fact {
+        a.union(b).copied().collect()
+    }
+    fn transfer_stmt(&self, s: &Stmt, after: &Self::Fact) -> Self::Fact {
+        match &s.kind {
+            StmtKind::Return(v) => v.iter().flat_map(|v| v.vars()).collect(),
+            StmtKind::ForEach { var, iterable, .. } => {
+                let mut live = after.clone();
+                live.remove(var);
+                live.extend(iterable.vars());
+                live
+            }
+            StmtKind::Expr(Expr::MethodCall { recv, name, args })
+                if analysis::defuse::MUTATING_METHODS.contains(&name.as_str())
+                    && matches!(recv.as_ref(), Expr::Var(_)) =>
+            {
+                let mut live = after.clone();
+                live.extend(args.iter().flat_map(|a| a.vars()));
+                live
+            }
+            _ => {
+                let du = DefUse::of_stmt(s);
+                let mut live = after.clone();
+                for d in &du.defs {
+                    if !du.uses.contains(d) {
+                        live.remove(d);
+                    }
+                }
+                live.extend(du.uses.iter().copied());
+                live
+            }
+        }
+    }
+    fn transfer_terminator(&self, t: &Terminator, after: &Self::Fact) -> Self::Fact {
+        match t {
+            Terminator::Branch { cond, .. } => {
+                let mut live = after.clone();
+                live.extend(cond.vars());
+                live
+            }
+            Terminator::Return(v) => v.iter().flat_map(|v| v.vars()).collect(),
+            _ => after.clone(),
+        }
+    }
+    fn height(&self, f: &Function) -> usize {
+        dataflow::variable_universe(f).len() + self.extra_live_out.len() + 1
+    }
+}
+
+/// The set client's fact after every statement, with `Liveness`'s one
+/// adjustment: a loop statement reports the fact after the whole loop
+/// (its exit block's entry), not the one at the loop top.
+fn set_live_after(f: &Function, extra: &BTreeSet<Symbol>) -> BTreeMap<StmtId, BTreeSet<Symbol>> {
+    let cfg = Cfg::build(f);
+    let a = SetLiveness {
+        extra_live_out: extra.clone(),
+    };
+    let sol = dataflow::solve_cfg(&a, f, &cfg);
+    let stmts = dataflow::stmt_index(f);
+    let mut out: BTreeMap<StmtId, BTreeSet<Symbol>> = stmts
+        .keys()
+        .map(|id| {
+            (
+                *id,
+                sol.after(*id).expect("every statement has a fact").clone(),
+            )
+        })
+        .collect();
+    for b in &cfg.blocks {
+        let Some(id) = b.stmts.last() else { continue };
+        let exit = match (&b.terminator, &stmts[id].kind) {
+            (Some(Terminator::ForDispatch { exit, .. }), StmtKind::ForEach { .. }) => exit,
+            (Some(Terminator::Branch { else_to, .. }), StmtKind::While { .. }) => else_to,
+            _ => continue,
+        };
+        out.insert(*id, sol.entry[exit.0].clone());
+    }
+    out
+}
+
+/// `Liveness` (bitset facts) equals the set client after every statement,
+/// both through `after` and through `is_live_after` on every variable of
+/// the function, the boundary, and one the function never mentions.
+fn assert_liveness_exact(name: &str, f: &Function, extra: &BTreeSet<Symbol>) {
+    let bits = Liveness::compute(f, extra);
+    let mut universe = dataflow::variable_universe(f);
+    universe.extend(extra);
+    universe.insert(Symbol::intern("__never_mentioned"));
+    for (id, want) in set_live_after(f, extra) {
+        assert_eq!(bits.after(id), want, "{name}: liveness after {id:?}");
+        for v in &universe {
+            assert_eq!(
+                bits.is_live_after(id, *v),
+                want.contains(v),
+                "{name}: is_live_after({id:?}, {v})"
+            );
+        }
+    }
+}
+
+/// Shapes the sources below rarely reach: mutation of a collection that
+/// is dead afterwards (what extraction leaves behind for dead-code
+/// removal), mutation in value position, a cursor variable read by its own
+/// iterable, and `return` inside nested loops.
+const EDGE_CASES: [&str; 4] = [
+    "fn f(q) { c = list(); d = list(); for (t in q) { c.add(t.x); d.add(c.size()); } return 0; }",
+    "fn f(q) { c = list(); n = c.add(1); for (t in q) { m = c.add(t.x); } return n; }",
+    "fn f(t) { s = 0; for (t in t.items) { s = s + t.x; } t = 0; return s; }",
+    "fn f(q, n) { i = 0; while (i < n) { for (t in q) { if (t.x > i) { return t.x; } i = i + 1; continue; } break; } return i; }",
+];
+
+/// Every function of the corpus, the `workloads` crate, seeded
+/// `gen_case`/`gen_dml_case` programs and [`EDGE_CASES`].
+fn exactness_functions() -> Vec<(String, Function)> {
+    let mut sources: Vec<(String, String)> = Vec::new();
+    for (i, src) in EDGE_CASES.iter().enumerate() {
+        sources.push((format!("edge/{i}"), src.to_string()));
+    }
+    for s in workloads::wilos::samples() {
+        sources.push((format!("wilos/{}", s.label), s.source.to_string()));
+    }
+    for (app, servlets) in [
+        ("rubis", workloads::servlets::rubis()),
+        ("rubbos", workloads::servlets::rubbos()),
+        ("acadportal", workloads::servlets::acadportal()),
+    ] {
+        for s in servlets {
+            sources.push((format!("{app}/{}", s.name), s.source));
+        }
+    }
+    sources.push((
+        "matoso".into(),
+        workloads::matoso::FIND_MAX_SCORE.to_string(),
+    ));
+    sources.push((
+        "jobportal".into(),
+        workloads::jobportal::APPLICANT_REPORT.to_string(),
+    ));
+    for i in 0..64 {
+        let read = fuzz::genprog::gen_case(fuzz::iter_seed(0x11fe, i));
+        sources.push((format!("gen_case/{i}"), read.program));
+        let write = fuzz::genprog::gen_dml_case(fuzz::iter_seed(0xd31, i));
+        sources.push((format!("gen_dml_case/{i}"), write.program));
+    }
+    let mut out = Vec::new();
+    for (name, program) in corpus_programs() {
+        out.extend(program.functions.into_iter().map(|f| (name.clone(), f)));
+    }
+    for (name, src) in sources {
+        let program =
+            imp::parse_and_normalize(&src).unwrap_or_else(|e| panic!("{name} does not parse: {e}"));
+        out.extend(program.functions.into_iter().map(|f| (name.clone(), f)));
+    }
+    out
+}
+
+/// Give every statement a fresh id counting down in steps of three: the
+/// ids are out of walk order and not contiguous, as after a rewrite that
+/// inserted placeholder statements.
+fn scramble_ids(b: &mut Block, next: &mut u32) {
+    for s in &mut b.stmts {
+        s.id = StmtId(*next);
+        *next -= 3;
+        match &mut s.kind {
+            StmtKind::If {
+                then_branch,
+                else_branch,
+                ..
+            } => {
+                scramble_ids(then_branch, next);
+                scramble_ids(else_branch, next);
+            }
+            StmtKind::ForEach { body, .. } | StmtKind::While { body, .. } => {
+                scramble_ids(body, next)
+            }
+            _ => {}
+        }
+    }
+}
+
+#[test]
+fn bitset_liveness_equals_set_client() {
+    let functions = exactness_functions();
+    assert!(functions.len() > 250, "only {} functions", functions.len());
+    for (name, f) in &functions {
+        assert_liveness_exact(name, f, &BTreeSet::new());
+        // A non-empty boundary: every other variable the function
+        // mentions, plus one it never does.
+        let mut extra: BTreeSet<Symbol> = dataflow::variable_universe(f)
+            .into_iter()
+            .step_by(2)
+            .collect();
+        extra.insert(Symbol::intern("__out_param"));
+        assert_liveness_exact(name, f, &extra);
+
+        let mut scrambled = f.clone();
+        scramble_ids(&mut scrambled.body, &mut 1_000_000);
+        assert_liveness_exact(name, &scrambled, &extra);
+    }
+}
+
+/// More than 128 variables: facts spill past the two inline words.
+#[test]
+fn bitset_liveness_equals_set_client_past_128_variables() {
+    const N: usize = 150;
+    let mut src = String::from("fn wide(n) {\n    rows = executeQuery(\"SELECT * FROM emp\");\n");
+    for i in 0..N {
+        src.push_str(&format!("    v{i} = n + {i};\n"));
+    }
+    // Loop-carried accumulators, a conditional def and a dead store on
+    // both sides of the inline/spill boundary (bits 0..128 and beyond).
+    src.push_str("    for (t in rows) {\n");
+    for i in (0..N).step_by(7) {
+        let j = (i + 61) % N;
+        src.push_str(&format!("        v{i} = v{i} + v{j} + t.salary;\n"));
+    }
+    src.push_str(
+        "        if (t.salary > v140) {\n            v3 = v149;\n            break;\n        }\n",
+    );
+    src.push_str("        v145 = t.salary;\n    }\n");
+    src.push_str("    while (v2 < n) {\n        v2 = v2 + v131;\n    }\n");
+    let sum: Vec<String> = (0..N).step_by(3).map(|i| format!("v{i}")).collect();
+    src.push_str(&format!("    return {};\n}}\n", sum.join(" + ")));
+    let f = parse(&src);
+    assert!(dataflow::variable_universe(&f).len() > 128);
+
+    assert_liveness_exact("wide", &f, &BTreeSet::new());
+    let extra: BTreeSet<Symbol> = [1, 130, 148]
+        .iter()
+        .map(|i| Symbol::intern(&format!("v{i}")))
+        .collect();
+    assert_liveness_exact("wide+extra", &f, &extra);
+    // The spill words carry real facts: a high-numbered accumulator stays
+    // live through the loop.
+    let live = Liveness::compute(&f, &BTreeSet::new());
+    let StmtKind::ForEach { body, .. } = &f.body.stmts[N + 1].kind else {
+        panic!("expected the cursor loop");
+    };
+    assert!(live.is_live_after(body.stmts[0].id, Symbol::intern("v147")));
 }
