@@ -86,6 +86,17 @@ case "$BENCH_RESULT" in
     *) echo "eqbench compile smoke failed: $BENCH_RESULT" >&2; exit 1 ;;
 esac
 
+echo "==> eqbench run-paged smoke"
+# One second of the run-paged workload: rewritten programs run through the
+# interpreter on paged stores, each op's result and final table contents
+# checked against the original program, so a DML, executor or storage
+# change that breaks the benchmark fails here. Same result-line contract.
+BENCH_RESULT="$(bash eqbench/run.sh --workload run-paged --seed 1 --seconds 1 --trace 0 | tail -n 1)"
+case "$BENCH_RESULT" in
+    *'"correct":true'*) ;;
+    *) echo "eqbench run-paged smoke failed: $BENCH_RESULT" >&2; exit 1 ;;
+esac
+
 echo "==> service smoke test (persistent connection)"
 cargo build -q --release -p eqsql-cli -p service
 PORT_FILE="$(mktemp -u)"

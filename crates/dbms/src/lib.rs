@@ -27,6 +27,6 @@ pub mod volcano;
 
 pub use connection::{Connection, CostModel, Stats};
 pub use eval::{eval_query, EvalError};
-pub use paged::PagedTable;
+pub use paged::{PagedTable, RowEdit};
 pub use table::{Database, Relation, Row, Table};
 pub use value::Value;

@@ -4,12 +4,12 @@
 //! The storage crate is value-agnostic; this module owns the row codec
 //! (one tag byte per value, little-endian payloads) and the per-column
 //! value hashes fed to the store's statistics sketches. Rowids are
-//! assigned monotonically by the store, so a B-tree scan returns rows in
-//! insertion order — the same observable order as the in-memory
-//! `Vec<Row>` backing, which keeps the two backends byte-identical under
-//! the evaluator.
+//! assigned monotonically by the store and survive in-place updates, so a
+//! B-tree scan returns rows in insertion order — the same observable order
+//! as the in-memory `Vec<Row>` backing, which keeps the two backends
+//! byte-identical under the evaluator.
 
-use storage::{fnv64, Store, TableStatistics};
+use storage::{fnv64, StorageError, Store, TableStatistics, MAX_RECORD};
 
 use crate::table::Row;
 use crate::value::Value;
@@ -48,28 +48,28 @@ pub fn encode_row(row: &[Value]) -> Vec<u8> {
 /// records only ever come back from a checksummed page, so corruption is
 /// caught at the pager layer first.
 pub fn decode_row(mut bytes: &[u8]) -> Row {
-    fn split(bytes: &mut &[u8], n: usize) -> Vec<u8> {
+    fn take<'a>(bytes: &mut &'a [u8], n: usize) -> &'a [u8] {
         let (head, tail) = bytes.split_at(n);
         *bytes = tail;
-        head.to_vec()
+        head
     }
     let mut row = Vec::new();
     while !bytes.is_empty() {
-        let tag = bytes[0];
-        bytes = &bytes[1..];
+        let tag = take(&mut bytes, 1)[0];
         row.push(match tag {
             0 => Value::Null,
-            1 => Value::Bool(split(&mut bytes, 1)[0] != 0),
+            1 => Value::Bool(take(&mut bytes, 1)[0] != 0),
             2 => Value::Int(i64::from_le_bytes(
-                split(&mut bytes, 8).try_into().expect("8 bytes"),
+                take(&mut bytes, 8).try_into().expect("8 bytes"),
             )),
             3 => Value::Float(f64::from_le_bytes(
-                split(&mut bytes, 8).try_into().expect("8 bytes"),
+                take(&mut bytes, 8).try_into().expect("8 bytes"),
             )),
             4 => {
                 let len =
-                    u32::from_le_bytes(split(&mut bytes, 4).try_into().expect("4 bytes")) as usize;
-                Value::Str(String::from_utf8(split(&mut bytes, len)).expect("UTF-8 string"))
+                    u32::from_le_bytes(take(&mut bytes, 4).try_into().expect("4 bytes")) as usize;
+                let text = std::str::from_utf8(take(&mut bytes, len)).expect("UTF-8 string");
+                Value::Str(text.to_string())
             }
             other => panic!("corrupt record: unknown value tag {other}"),
         });
@@ -86,6 +86,28 @@ pub fn value_hash(v: &Value) -> Option<u64> {
     } else {
         Some(fnv64(v.group_key().as_bytes()))
     }
+}
+
+/// Encode a row, failing when the record exceeds a page's capacity.
+fn checked_record(row: &[Value]) -> Result<Vec<u8>, StorageError> {
+    let record = encode_row(row);
+    if record.len() > MAX_RECORD {
+        return Err(StorageError::RecordTooLarge(record.len()));
+    }
+    Ok(record)
+}
+
+/// What a statement does to one existing row (see [`Table::edit`]).
+///
+/// [`Table::edit`]: crate::table::Table::edit
+#[derive(Debug, Clone, PartialEq)]
+pub enum RowEdit {
+    /// Leave the row as it is.
+    Keep,
+    /// Replace the row with new values, in the same scan position.
+    Replace(Row),
+    /// Remove the row.
+    Delete,
 }
 
 /// A table whose rows live in a [`Store`] B-tree.
@@ -126,28 +148,52 @@ impl PagedTable {
         &self.name
     }
 
-    /// Replace the table's contents with `rows` (truncate + re-append, in
-    /// order). Statistics sketches are rebuilt from the new rows. This is
-    /// the materialize-and-rewrite path behind UPDATE/DELETE on a paged
-    /// table; the old tree's pages are leaked in the backing image.
-    pub fn rewrite(&mut self, rows: &[Row]) {
-        self.store
-            .truncate_table(&self.name)
-            .expect("truncate stored table");
-        for row in rows {
-            self.insert(row);
+    /// Append rows in order, feeding the statistics sketches. Every row is
+    /// encoded and size-checked before the first append, so a row too
+    /// large for a page fails the call with the table unchanged.
+    pub fn insert_all(&mut self, rows: &[Row]) -> Result<(), StorageError> {
+        let records = rows
+            .iter()
+            .map(|row| checked_record(row))
+            .collect::<Result<Vec<_>, _>>()?;
+        for (row, record) in rows.iter().zip(&records) {
+            let hashes: Vec<Option<u64>> = row.iter().map(value_hash).collect();
+            self.store.append(&self.name, record, &hashes)?;
         }
+        Ok(())
     }
 
-    /// Append a row, feeding the statistics sketches. Panics on storage
-    /// errors (oversized record, I/O failure) — the engine's `insert` API
-    /// is infallible and generated rows are far below the page size.
-    pub fn insert(&mut self, row: &[Value]) {
-        let record = encode_row(row);
-        let hashes: Vec<Option<u64>> = row.iter().map(value_hash).collect();
-        self.store
-            .append(&self.name, &record, &hashes)
-            .expect("append row to store");
+    /// Apply `decide` to every row, in two phases. Phase 1 runs the
+    /// decisions over one `(rowid, record)` scan of the current contents
+    /// and encodes every replacement; an oversized one fails here, before
+    /// anything is written. Phase 2 rewrites or removes the chosen rows in
+    /// place by rowid, so survivors keep their scan positions. A
+    /// replacement that encodes to the stored bytes is skipped.
+    pub fn edit(
+        &mut self,
+        mut decide: impl FnMut(&[Value]) -> RowEdit,
+    ) -> Result<(), StorageError> {
+        let mut writes: Vec<(u64, Option<Vec<u8>>)> = Vec::new();
+        for item in self.store.scan(&self.name)? {
+            let (rowid, record) = item?;
+            match decide(&decode_row(&record)) {
+                RowEdit::Keep => {}
+                RowEdit::Delete => writes.push((rowid, None)),
+                RowEdit::Replace(row) => {
+                    let new = checked_record(&row)?;
+                    if new != record {
+                        writes.push((rowid, Some(new)));
+                    }
+                }
+            }
+        }
+        for (rowid, write) in writes {
+            match write {
+                Some(record) => self.store.update(&self.name, rowid, &record)?,
+                None => self.store.delete(&self.name, rowid)?,
+            };
+        }
+        Ok(())
     }
 
     /// Rows in the table.
@@ -167,10 +213,13 @@ impl PagedTable {
         }
     }
 
-    /// Statistics snapshot from the store's sketches.
+    /// Statistics snapshot from the store's sketches, rebuilt by one scan
+    /// first when an in-place write left them stale.
     pub fn statistics(&self) -> TableStatistics {
         self.store
-            .statistics(&self.name)
+            .statistics_with(&self.name, |record| {
+                decode_row(record).iter().map(value_hash).collect()
+            })
             .expect("statistics for stored table")
     }
 
@@ -223,9 +272,10 @@ mod tests {
     fn paged_table_round_trip() {
         let store = Store::in_memory(8);
         let mut t = PagedTable::create(store, "t", 2);
-        for i in 0..300i64 {
-            t.insert(&[Value::Int(i), Value::Str(format!("s{}", i % 3))]);
-        }
+        let rows: Vec<Row> = (0..300i64)
+            .map(|i| vec![Value::Int(i), Value::Str(format!("s{}", i % 3))])
+            .collect();
+        t.insert_all(&rows).unwrap();
         assert_eq!(t.len(), 300);
         let rows: Vec<Row> = t.scan().collect();
         assert_eq!(rows.len(), 300);

@@ -10,9 +10,9 @@
 use std::collections::BTreeMap;
 
 use algebra::schema::{Catalog, TableSchema};
-use storage::{Store, TableStatistics};
+use storage::{StorageError, Store, TableStatistics};
 
-use crate::paged::PagedTable;
+use crate::paged::{PagedTable, RowEdit};
 use crate::value::Value;
 
 /// A row: values in schema column order.
@@ -62,11 +62,23 @@ impl Table {
     }
 
     /// Append a row; panics in debug builds when the arity mismatches.
-    pub fn insert(&mut self, row: Row) {
-        debug_assert_eq!(row.len(), self.schema.columns.len(), "row arity mismatch");
+    /// Fails, leaving the table unchanged, when a paged table cannot store
+    /// the row (its record exceeds a page).
+    pub fn insert(&mut self, row: Row) -> Result<(), StorageError> {
+        self.insert_all(vec![row])
+    }
+
+    /// Append rows in order, all or none: a paged table checks that every
+    /// row fits a page before it stores the first.
+    pub fn insert_all(&mut self, new: Vec<Row>) -> Result<(), StorageError> {
+        let arity = self.schema.columns.len();
+        debug_assert!(new.iter().all(|r| r.len() == arity), "row arity mismatch");
         match &mut self.backing {
-            Backing::Mem(rows) => rows.push(row),
-            Backing::Paged(t) => t.insert(&row),
+            Backing::Mem(rows) => {
+                rows.extend(new);
+                Ok(())
+            }
+            Backing::Paged(t) => t.insert_all(&new),
         }
     }
 
@@ -105,30 +117,33 @@ impl Table {
         }
     }
 
-    /// The in-memory row vector, when this table is memory-backed.
-    pub fn mem_rows_mut(&mut self) -> Option<&mut Vec<Row>> {
-        match &mut self.backing {
-            Backing::Mem(rows) => Some(rows),
-            Backing::Paged(_) => None,
-        }
-    }
-
-    /// Mutate the table's rows through a closure over a `Vec<Row>`.
+    /// Apply a per-row decision to every row, in scan order: keep it,
+    /// replace it in place, or delete it. `decide` sees each row as it was
+    /// before the call. This is the one mutation path for UPDATE/DELETE in
+    /// `interp::dml`.
     ///
-    /// In-memory tables mutate in place. Paged tables materialize their
-    /// rows, run the closure, then rewrite the table (truncate +
-    /// re-append), so survivor order — and therefore scan order — matches
-    /// the in-memory backing exactly. This is the uniform mutation path
-    /// for UPDATE/DELETE in `interp::dml`.
-    pub fn mutate_rows<R>(&mut self, f: impl FnOnce(&mut Vec<Row>) -> R) -> R {
+    /// In-memory tables apply each decision as it is made. Paged tables
+    /// decide and encode every row first and write afterwards, by rowid
+    /// ([`PagedTable::edit`]), so a replacement too large for a page fails
+    /// with the table unchanged. Either way survivors keep their order,
+    /// and both backings end with the same contents.
+    pub fn edit(
+        &mut self,
+        mut decide: impl FnMut(&[Value]) -> RowEdit,
+    ) -> Result<(), StorageError> {
         match &mut self.backing {
-            Backing::Mem(rows) => f(rows),
-            Backing::Paged(t) => {
-                let mut rows: Vec<Row> = t.scan().collect();
-                let out = f(&mut rows);
-                t.rewrite(&rows);
-                out
+            Backing::Mem(rows) => {
+                rows.retain_mut(|row| match decide(row) {
+                    RowEdit::Keep => true,
+                    RowEdit::Replace(new) => {
+                        *row = new;
+                        true
+                    }
+                    RowEdit::Delete => false,
+                });
+                Ok(())
             }
+            Backing::Paged(t) => t.edit(decide),
         }
     }
 
@@ -359,11 +374,12 @@ impl Database {
     }
 
     /// Insert a row into a named table. Returns `false` when the table does
-    /// not exist.
+    /// not exist. Meant for loading data: panics when a paged table cannot
+    /// store the row, where [`Table::insert`] returns the error.
     pub fn insert(&mut self, table: &str, row: Row) -> bool {
         match self.tables.get_mut(table) {
             Some(t) => {
-                t.insert(row);
+                t.insert(row).expect("store row in paged table");
                 true
             }
             None => false,
@@ -473,13 +489,13 @@ mod tests {
         assert_eq!(f.table("t").unwrap().len(), 51);
         assert_eq!(d.table("t").unwrap().len(), 50);
         // Mutating the fork's rows leaves the original untouched.
-        f.table_mut("t").unwrap().mutate_rows(|rows| rows.clear());
+        f.table_mut("t").unwrap().edit(|_| RowEdit::Delete).unwrap();
         assert_eq!(f.table("t").unwrap().len(), 0);
         assert_eq!(d.table("t").unwrap().len(), 50);
     }
 
     #[test]
-    fn mutate_rows_matches_across_backings() {
+    fn edit_matches_across_backings() {
         let schema = TableSchema::new("t", &[("a", SqlType::Int)]);
         let mut mem = Database::new().with_table(schema.clone());
         let mut paged = Database::paged_in_memory(4).with_table(schema);
@@ -487,24 +503,49 @@ mod tests {
             mem.insert("t", vec![Value::Int(i)]);
             paged.insert("t", vec![Value::Int(i)]);
         }
-        // Same closure on both backings: delete odds, bump evens.
-        let edit = |rows: &mut Vec<Row>| {
-            rows.retain(|r| matches!(r[0], Value::Int(i) if i % 2 == 0));
-            for r in rows.iter_mut() {
-                if let Value::Int(i) = r[0] {
-                    r[0] = Value::Int(i + 100);
-                }
-            }
-            rows.len()
+        // Same decisions on both backings: delete odds, bump evens.
+        let edit = |row: &[Value]| match row[0] {
+            Value::Int(i) if i % 2 == 0 => RowEdit::Replace(vec![Value::Int(i + 100)]),
+            _ => RowEdit::Delete,
         };
-        let n_mem = mem.table_mut("t").unwrap().mutate_rows(edit);
-        let n_paged = paged.table_mut("t").unwrap().mutate_rows(edit);
-        assert_eq!(n_mem, 10);
-        assert_eq!(n_paged, 10);
+        mem.table_mut("t").unwrap().edit(edit).unwrap();
+        paged.table_mut("t").unwrap().edit(edit).unwrap();
+        assert_eq!(mem.table("t").unwrap().len(), 10);
         assert_eq!(mem.table("t").unwrap(), paged.table("t").unwrap());
-        // The paged rewrite rebuilt statistics from the surviving rows.
+        // Statistics are rebuilt from the surviving rows: the same snapshot
+        // as a fresh table loaded with them.
+        let mut fresh =
+            Database::paged_in_memory(4).with_table(mem.table("t").unwrap().schema.clone());
+        for row in mem.table("t").unwrap().scan() {
+            fresh.insert("t", row);
+        }
         let stats = paged.table("t").unwrap().statistics().unwrap();
         assert_eq!(stats.rows, 10);
+        assert_eq!(Some(stats), fresh.table("t").unwrap().statistics());
+    }
+
+    #[test]
+    fn oversized_paged_write_fails_and_leaves_table_unchanged() {
+        let schema = TableSchema::new("t", &[("a", SqlType::Int), ("b", SqlType::Text)]);
+        let mut paged = Database::paged_in_memory(4).with_table(schema);
+        for i in 0..5 {
+            paged.insert("t", vec![Value::Int(i), "x".into()]);
+        }
+        let before = paged.table("t").unwrap().rows_vec();
+        let big = Value::Str("y".repeat(5_000));
+        let t = paged.table_mut("t").unwrap();
+        assert!(matches!(
+            t.insert(vec![Value::Int(9), big.clone()]),
+            Err(StorageError::RecordTooLarge(_))
+        ));
+        // The oversized replacement is the last decision: earlier rows were
+        // decided first, yet nothing is written.
+        let r = t.edit(|row| match row[0] {
+            Value::Int(4) => RowEdit::Replace(vec![Value::Int(4), big.clone()]),
+            _ => RowEdit::Delete,
+        });
+        assert!(matches!(r, Err(StorageError::RecordTooLarge(_))));
+        assert_eq!(paged.table("t").unwrap().rows_vec(), before);
     }
 
     #[test]

@@ -26,15 +26,22 @@
 //!   rows hit the same target row the last writer wins, which is the
 //!   per-row loop's behaviour.
 //! * Key comparisons use SQL equality: `NULL` matches nothing, even
-//!   another `NULL`.
-//! * Both backends serve every form. `INSERT` appends; `UPDATE`/`DELETE`
-//!   on a paged table materialize its rows, apply the statement, and
-//!   rewrite the table, leaving the same contents the in-memory backend
-//!   would.
+//!   another `NULL`. Keys are matched through hash maps, never by
+//!   scanning one side per row of the other.
+//! * Both backends serve every form. `INSERT` appends. Every `UPDATE` and
+//!   `DELETE` form becomes a per-row decision — keep, replace, delete —
+//!   applied through [`dbms::Table::edit`]: a paged table decides over one
+//!   scan and encodes every new row before it writes any, then rewrites
+//!   or removes just the touched rows in place by rowid.
+//! * A row too large for a page is a [`DmlError`], never a panic, and the
+//!   failing statement leaves the table unchanged.
+
+use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 
 use algebra::parse::parse_sql;
 use dbms::eval::eval_query;
-use dbms::{Database, Value};
+use dbms::{Database, Row, RowEdit, Table, Value};
 
 /// A DML execution error.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -57,6 +64,66 @@ fn sql_eq(a: &Value, b: &Value) -> bool {
 /// removal): positional `group_eq`, where `NULL` matches `NULL`.
 fn row_ident(a: &[Value], b: &[Value]) -> bool {
     a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.group_eq(y))
+}
+
+/// Hash bucket for value equality. Every pair that `group_eq` can call
+/// equal shares a bucket: numbers of every type go by their `f64` value
+/// (`true` = `1`, `-0.0` = `0.0`), and `NULL` is `None`. A bucket may also
+/// hold unequal values (NaN, integers past 2^53), so a hit is confirmed
+/// with `sql_eq` or `row_ident`.
+#[derive(Debug, PartialEq, Eq, Hash)]
+enum Bucket<'a> {
+    Num(u64),
+    Str(&'a str),
+}
+
+fn bucket(v: &Value) -> Option<Bucket<'_>> {
+    match v {
+        Value::Null => None,
+        Value::Str(s) => Some(Bucket::Str(s)),
+        other => {
+            let f = other.as_f64()?;
+            Some(Bucket::Num(if f == 0.0 { 0 } else { f.to_bits() }))
+        }
+    }
+}
+
+/// Hash of a row's buckets, position by position (`NULL` hashes alike,
+/// as `row_ident` matches it with `NULL`). Rows that `row_ident` calls
+/// identical hash alike.
+fn row_hash(row: &[Value]) -> u64 {
+    let mut h = std::collections::hash_map::DefaultHasher::new();
+    for v in row {
+        bucket(v).hash(&mut h);
+    }
+    h.finish()
+}
+
+/// Indices of `values` by bucket, in order; `NULL`s, which match nothing,
+/// are left out.
+fn key_index<'a>(values: impl Iterator<Item = &'a Value>) -> HashMap<Bucket<'a>, Vec<usize>> {
+    let mut index: HashMap<Bucket<'a>, Vec<usize>> = HashMap::new();
+    for (i, v) in values.enumerate() {
+        if let Some(b) = bucket(v) {
+            index.entry(b).or_default().push(i);
+        }
+    }
+    index
+}
+
+fn table_mut<'a>(db: &'a mut Database, table: &str) -> Result<&'a mut Table, DmlError> {
+    db.table_mut(table)
+        .ok_or_else(|| DmlError(format!("unknown table {table}")))
+}
+
+fn column(t: &Table, col: &str) -> Result<usize, DmlError> {
+    t.schema
+        .column_index(col)
+        .ok_or_else(|| DmlError(format!("unknown column {col}")))
+}
+
+fn store_error<E: std::fmt::Display>(table: &str) -> impl Fn(E) -> DmlError + '_ {
+    move |e| DmlError(format!("cannot write {table}: {e}"))
 }
 
 /// Find keyword `kw` as a whole word at paren depth 0 outside quotes,
@@ -348,7 +415,9 @@ fn exec_insert(db: &mut Database, sql: &str, params: &[Value]) -> Result<i64, Dm
             }
         }
         let row = reorder(vals)?;
-        db.insert(&table, row);
+        table_mut(db, &table)?
+            .insert(row)
+            .map_err(store_error(&table))?;
         Ok(1)
     } else if rest
         .split_whitespace()
@@ -356,7 +425,7 @@ fn exec_insert(db: &mut Database, sql: &str, params: &[Value]) -> Result<i64, Dm
         .is_some_and(|w| w.eq_ignore_ascii_case("select"))
     {
         // INSERT … SELECT: evaluate fully against the pre-insert state,
-        // then append (works on the paged backend too).
+        // then append all rows or, when one does not fit a page, none.
         let ra = parse_sql(rest).map_err(|e| DmlError(format!("bad source query: {e}")))?;
         let rel = eval_query(&ra, db, params)
             .map_err(|e| DmlError(format!("source query failed: {e}")))?;
@@ -366,9 +435,9 @@ fn exec_insert(db: &mut Database, sql: &str, params: &[Value]) -> Result<i64, Dm
             .map(reorder)
             .collect::<Result<Vec<_>, _>>()?;
         let n = rows.len() as i64;
-        for row in rows {
-            db.insert(&table, row);
-        }
+        table_mut(db, &table)?
+            .insert_all(rows)
+            .map_err(store_error(&table))?;
         Ok(n)
     } else {
         Err(DmlError("expected VALUES (…) or SELECT".into()))
@@ -425,39 +494,41 @@ fn exec_update(db: &mut Database, sql: &str, params: &[Value]) -> Result<i64, Dm
                 .map_err(|e| DmlError(format!("bad SET source column: {e}")))?;
             sets.push((col, src));
         }
-        let t = db
-            .table_mut(&table)
-            .ok_or_else(|| DmlError(format!("unknown table {table}")))?;
-        let key_idx = t
-            .schema
-            .column_index(&key_col)
-            .ok_or_else(|| DmlError(format!("unknown column {key_col}")))?;
+        let t = table_mut(db, &table)?;
+        let key_idx = column(t, &key_col)?;
         let set_idxs = sets
             .iter()
-            .map(|(c, src)| {
-                t.schema
-                    .column_index(c)
-                    .map(|i| (i, *src))
-                    .ok_or_else(|| DmlError(format!("unknown column {c}")))
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        let affected = t.mutate_rows(|rows| {
-            let mut affected = 0i64;
-            // Source rows apply in order: last writer wins, matching the
-            // per-row loop this statement replaces.
-            for srow in &rel.rows {
-                let key = &srow[key_src];
-                for row in rows.iter_mut() {
-                    if sql_eq(&row[key_idx], key) {
-                        for (tc, rc) in &set_idxs {
-                            row[*tc] = srow[*rc].clone();
-                        }
-                        affected += 1;
-                    }
+            .map(|(c, src)| Ok((column(t, c)?, *src)))
+            .collect::<Result<Vec<_>, DmlError>>()?;
+        let index = key_index(rel.rows.iter().map(|r| &r[key_src]));
+        // The source row at index `i ≥ from` that is next to match `key`.
+        let next_match = |key: &Value, from: usize| {
+            let hits = index.get(&bucket(key)?)?;
+            let start = hits.partition_point(|&i| i < from);
+            hits[start..]
+                .iter()
+                .copied()
+                .find(|&i| sql_eq(key, &rel.rows[i][key_src]))
+        };
+        let mut affected = 0i64;
+        t.edit(|row| {
+            // Source rows apply in order, each to the target as the earlier
+            // ones left it: last writer wins, matching the per-row loop
+            // this statement replaces (a SET of the key column re-keys the
+            // row for the source rows after it).
+            let mut new: Option<Row> = None;
+            let mut from = 0;
+            while let Some(i) = next_match(&new.as_deref().unwrap_or(row)[key_idx], from) {
+                let target = new.get_or_insert_with(|| row.to_vec());
+                for (tc, rc) in &set_idxs {
+                    target[*tc] = rel.rows[i][*rc].clone();
                 }
+                affected += 1;
+                from = i + 1;
             }
-            affected
-        });
+            new.map_or(RowEdit::Keep, RowEdit::Replace)
+        })
+        .map_err(store_error(&table))?;
         Ok(affected)
     } else {
         // Per-row form: UPDATE t SET c = v, … [WHERE c = v].
@@ -491,42 +562,28 @@ fn exec_update(db: &mut Database, sql: &str, params: &[Value]) -> Result<i64, Dm
                 Some((parse_ident(c)?, take(parse_simple_val(v)?)?))
             }
         };
-        let t = db
-            .table_mut(&table)
-            .ok_or_else(|| DmlError(format!("unknown table {table}")))?;
-        let filter_idx = match &filter {
+        let t = table_mut(db, &table)?;
+        let filter = match filter {
             None => None,
-            Some((c, _)) => Some(
-                t.schema
-                    .column_index(c)
-                    .ok_or_else(|| DmlError(format!("unknown column {c}")))?,
-            ),
+            Some((c, v)) => Some((column(t, &c)?, v)),
         };
         let set_idxs = sets
-            .iter()
-            .map(|(c, v)| {
-                t.schema
-                    .column_index(c)
-                    .map(|i| (i, v.clone()))
-                    .ok_or_else(|| DmlError(format!("unknown column {c}")))
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        let affected = t.mutate_rows(|rows| {
-            let mut affected = 0i64;
-            for row in rows.iter_mut() {
-                let hit = match (&filter_idx, &filter) {
-                    (Some(i), Some((_, v))) => sql_eq(&row[*i], v),
-                    _ => true,
-                };
-                if hit {
-                    for (i, v) in &set_idxs {
-                        row[*i] = v.clone();
-                    }
-                    affected += 1;
-                }
+            .into_iter()
+            .map(|(c, v)| Ok((column(t, &c)?, v)))
+            .collect::<Result<Vec<_>, DmlError>>()?;
+        let mut affected = 0i64;
+        t.edit(|row| {
+            if filter.as_ref().is_some_and(|(i, v)| !sql_eq(&row[*i], v)) {
+                return RowEdit::Keep;
             }
-            affected
-        });
+            affected += 1;
+            let mut new = row.to_vec();
+            for (i, v) in &set_idxs {
+                new[*i] = v.clone();
+            }
+            RowEdit::Replace(new)
+        })
+        .map_err(store_error(&table))?;
         Ok(affected)
     }
 }
@@ -540,15 +597,7 @@ fn exec_delete(db: &mut Database, sql: &str, params: &[Value]) -> Result<i64, Dm
     let table = parse_ident(&sql[from_pos + "from".len()..where_pos.unwrap_or(sql.len())])?;
     let Some(wp) = where_pos else {
         // Unfiltered: clear the table.
-        let t = db
-            .table_mut(&table)
-            .ok_or_else(|| DmlError(format!("unknown table {table}")))?;
-        let before = t.mutate_rows(|rows| {
-            let before = rows.len();
-            rows.clear();
-            before
-        });
-        return Ok(before as i64);
+        return delete_where(db, &table, |_| true);
     };
     let where_text = sql[wp + "where".len()..].trim();
 
@@ -569,20 +618,14 @@ fn exec_delete(db: &mut Database, sql: &str, params: &[Value]) -> Result<i64, Dm
                 rel.fields.len()
             )));
         }
-        let keys: Vec<Value> = rel.rows.into_iter().map(|mut r| r.remove(0)).collect();
-        let t = db
-            .table_mut(&table)
-            .ok_or_else(|| DmlError(format!("unknown table {table}")))?;
-        let idx = t
-            .schema
-            .column_index(&col)
-            .ok_or_else(|| DmlError(format!("unknown column {col}")))?;
-        let removed = t.mutate_rows(|rows| {
-            let before = rows.len();
-            rows.retain(|r| !keys.iter().any(|k| sql_eq(&r[idx], k)));
-            before - rows.len()
+        let index = key_index(rel.rows.iter().map(|r| &r[0]));
+        let idx = column(table_mut(db, &table)?, &col)?;
+        return delete_where(db, &table, |r| {
+            let v = &r[idx];
+            bucket(v)
+                .and_then(|b| index.get(&b))
+                .is_some_and(|hits| hits.iter().any(|&i| sql_eq(v, &rel.rows[i][0])))
         });
-        return Ok(removed as i64);
     }
 
     // Simple `col = val` filter (fast path, no parser round trip).
@@ -595,44 +638,55 @@ fn exec_delete(db: &mut Database, sql: &str, params: &[Value]) -> Result<i64, Dm
                     .ok_or_else(|| DmlError("missing param".into()))?,
                 SimpleVal::Lit(v) => v,
             };
-            let t = db
-                .table_mut(&table)
-                .ok_or_else(|| DmlError(format!("unknown table {table}")))?;
-            let idx = t
-                .schema
-                .column_index(&col)
-                .ok_or_else(|| DmlError(format!("unknown column {col}")))?;
-            let removed = t.mutate_rows(|rows| {
-                let before = rows.len();
-                rows.retain(|r| !sql_eq(&r[idx], &val));
-                before - rows.len()
-            });
-            return Ok(removed as i64);
+            let idx = column(table_mut(db, &table)?, &col)?;
+            return delete_where(db, &table, |r| sql_eq(&r[idx], &val));
         }
     }
 
     // General predicate: evaluate `SELECT * FROM t WHERE pred` against the
-    // pre-delete state and remove exactly the matching rows (multiset).
+    // pre-delete state and remove exactly the matching rows as a multiset:
+    // each doomed row takes the first identical row in scan order.
     let probe = format!("SELECT * FROM {table} WHERE {where_text}");
     let ra = parse_sql(&probe).map_err(|e| DmlError(format!("bad DELETE predicate: {e}")))?;
     let rel = eval_query(&ra, db, params)
         .map_err(|e| DmlError(format!("DELETE predicate failed: {e}")))?;
-    let mut doomed = rel.rows;
-    let t = db
-        .table_mut(&table)
-        .ok_or_else(|| DmlError(format!("unknown table {table}")))?;
-    let removed = t.mutate_rows(|rows| {
-        let before = rows.len();
-        rows.retain(|r| match doomed.iter().position(|d| row_ident(d, r)) {
-            Some(i) => {
-                doomed.swap_remove(i);
-                false
+    let mut doomed: HashMap<u64, Vec<usize>> = HashMap::new();
+    for (i, r) in rel.rows.iter().enumerate() {
+        doomed.entry(row_hash(r)).or_default().push(i);
+    }
+    delete_where(db, &table, |r| {
+        let Some(pending) = doomed.get_mut(&row_hash(r)) else {
+            return false;
+        };
+        match pending.iter().position(|&d| row_ident(&rel.rows[d], r)) {
+            Some(at) => {
+                pending.remove(at);
+                true
             }
-            None => true,
-        });
-        before - rows.len()
-    });
-    Ok(removed as i64)
+            None => false,
+        }
+    })
+}
+
+/// Delete the rows of `table` that `doomed` picks (called once per row, in
+/// scan order); returns how many went.
+fn delete_where(
+    db: &mut Database,
+    table: &str,
+    mut doomed: impl FnMut(&[Value]) -> bool,
+) -> Result<i64, DmlError> {
+    let mut removed = 0i64;
+    table_mut(db, table)?
+        .edit(|r| {
+            if doomed(r) {
+                removed += 1;
+                RowEdit::Delete
+            } else {
+                RowEdit::Keep
+            }
+        })
+        .map_err(store_error(table))?;
+    Ok(removed)
 }
 
 #[cfg(test)]
@@ -836,5 +890,212 @@ mod tests {
         let n = execute_update(&mut paged, "DELETE FROM emp", &[]).unwrap();
         assert!(n > 0);
         assert!(paged.table("emp").unwrap().is_empty());
+    }
+
+    /// A paged copy of every table of `mem`.
+    fn paged_copy(mem: &Database, frames: usize) -> Database {
+        let mut paged = Database::paged_in_memory(frames);
+        for schema in mem.catalog().tables() {
+            paged.create_table(schema.clone());
+            for row in mem.table(&schema.name).unwrap().scan() {
+                paged.insert(&schema.name, row);
+            }
+        }
+        paged
+    }
+
+    #[test]
+    fn oversized_paged_insert_is_an_error() {
+        let mut d = paged_copy(&db(), 4);
+        let big = Value::Str("x".repeat(5_000));
+        let err = execute_update(
+            &mut d,
+            "INSERT INTO log VALUES (?, ?)",
+            &[Value::Int(3), big],
+        )
+        .unwrap_err();
+        assert!(err.0.contains("exceeds page capacity"), "{err}");
+        // INSERT … SELECT stores all rows or none.
+        let err = execute_update(
+            &mut d,
+            "INSERT INTO log SELECT id, msg FROM log UNION ALL SELECT 9, ? FROM log",
+            &[Value::Str("y".repeat(5_000))],
+        );
+        assert!(err.is_err());
+        assert_eq!(d.table("log").unwrap(), db().table("log").unwrap());
+    }
+
+    #[test]
+    fn oversized_paged_update_leaves_table_unchanged() {
+        let mut d = paged_copy(&db(), 4);
+        let big = Value::Str("x".repeat(5_000));
+        let err = execute_update(
+            &mut d,
+            "UPDATE log SET msg = ? WHERE id = ?",
+            &[big, Value::Int(2)],
+        )
+        .unwrap_err();
+        assert!(err.0.contains("exceeds page capacity"), "{err}");
+        assert_eq!(d.table("log").unwrap(), db().table("log").unwrap());
+    }
+
+    #[test]
+    fn per_row_updates_allocate_no_pages() {
+        let mut mem = dbms::gen::gen_emp(200, 7);
+        let mut paged = paged_copy(&mem, 64);
+        let pages = paged.store().unwrap().page_count();
+        for id in 0..200i64 {
+            let params = [Value::Int(40_000 + id * 3), Value::Int(id)];
+            let sql = "UPDATE emp SET salary = ? WHERE id = ?";
+            assert_eq!(execute_update(&mut paged, sql, &params).unwrap(), 1);
+            execute_update(&mut mem, sql, &params).unwrap();
+        }
+        assert_eq!(paged.store().unwrap().page_count(), pages);
+        assert_eq!(mem.table("emp").unwrap(), paged.table("emp").unwrap());
+    }
+
+    #[test]
+    fn statistics_after_writes_match_a_fresh_load() {
+        let mut paged = paged_copy(&dbms::gen::gen_emp(300, 3), 8);
+        for sql in [
+            "UPDATE emp SET dept = 'ops' WHERE dept = 'hr'",
+            "DELETE FROM emp WHERE (salary < 60000)",
+            "UPDATE emp SET name = NULL WHERE dept = 'ops'",
+        ] {
+            execute_update(&mut paged, sql, &[]).unwrap();
+            let fresh = paged_copy(&paged, 8);
+            let stats = paged.table("emp").unwrap().statistics().unwrap();
+            assert!(!stats.columns.is_empty());
+            assert_eq!(
+                Some(stats),
+                fresh.table("emp").unwrap().statistics(),
+                "after `{sql}`"
+            );
+        }
+    }
+
+    /// Keys that stress SQL equality: duplicates, NULLs, and values of
+    /// different types that compare equal (`1`, `1.0`, `true`; `0`, `-0.0`).
+    fn key_db(seed: u64) -> Database {
+        let keys = [
+            Value::Null,
+            Value::Int(0),
+            Value::Int(1),
+            Value::Int(2),
+            Value::Float(1.0),
+            Value::Float(-0.0),
+            Value::Bool(true),
+        ];
+        let mut rng = dbms::prng::StdRng::seed_from_u64(seed);
+        let mut d = Database::new();
+        for name in ["t", "src"] {
+            d.create_table(TableSchema::new(
+                name,
+                &[
+                    ("k", SqlType::Int),
+                    ("v", SqlType::Int),
+                    ("n", SqlType::Int),
+                ],
+            ));
+            for _ in 0..rng.gen_range(0..14usize) {
+                let pick =
+                    |rng: &mut dbms::prng::StdRng| keys[rng.gen_range(0..keys.len())].clone();
+                let row = vec![
+                    pick(&mut rng),
+                    Value::Int(rng.gen_range(0..4i64)),
+                    pick(&mut rng),
+                ];
+                d.insert(name, row);
+            }
+        }
+        d
+    }
+
+    /// The per-pair reference: every source row, in order, updates every
+    /// target row whose key currently equals its key.
+    fn nested_update_from(
+        rows: &mut [Row],
+        src: &[Row],
+        key: usize,
+        sets: &[(usize, usize)],
+    ) -> i64 {
+        let mut affected = 0;
+        for s in src {
+            for row in rows.iter_mut() {
+                if sql_eq(&row[key], &s[0]) {
+                    for (tc, sc) in sets {
+                        row[*tc] = s[*sc].clone();
+                    }
+                    affected += 1;
+                }
+            }
+        }
+        affected
+    }
+
+    /// The reference multiset removal: each row goes when some unused
+    /// doomed row is identical to it.
+    fn linear_delete(rows: &mut Vec<Row>, mut doomed: Vec<Row>) -> i64 {
+        let before = rows.len();
+        rows.retain(|r| match doomed.iter().position(|d| row_ident(d, r)) {
+            Some(i) => {
+                doomed.remove(i);
+                false
+            }
+            None => true,
+        });
+        (before - rows.len()) as i64
+    }
+
+    #[test]
+    fn keyed_matching_agrees_with_the_quadratic_reference() {
+        let sub = "SELECT k AS k0, v AS v0, n AS n0 FROM src";
+        let forms: [(&str, &[(usize, usize)]); 2] = [
+            // Duplicate keys: last writer wins, every pair counts.
+            ("UPDATE t SET v = s.v0 FROM (SELECT k AS k0, v AS v0, n AS n0 FROM src) AS s WHERE k = s.k0", &[(1, 1)]),
+            // Re-keying: later source rows see the new key.
+            ("UPDATE t SET k = s.n0, v = s.v0 FROM (SELECT k AS k0, v AS v0, n AS n0 FROM src) AS s WHERE k = s.k0", &[(0, 2), (1, 1)]),
+        ];
+        for seed in 0..60 {
+            let mem = key_db(seed);
+            let src = eval_query(&parse_sql(sub).unwrap(), &mem, &[])
+                .unwrap()
+                .rows;
+            for (sql, sets) in forms {
+                let mut want = mem.table("t").unwrap().rows_vec();
+                let n = nested_update_from(&mut want, &src, 0, sets);
+                for mut d in [mem.clone(), paged_copy(&mem, 4)] {
+                    assert_eq!(execute_update(&mut d, sql, &[]).unwrap(), n, "{sql}");
+                    assert_eq!(d.table("t").unwrap().rows_vec(), want, "seed {seed}: {sql}");
+                }
+            }
+            let sql = "DELETE FROM t WHERE (v < 2)";
+            let doomed = eval_query(
+                &parse_sql("SELECT * FROM t WHERE (v < 2)").unwrap(),
+                &mem,
+                &[],
+            )
+            .unwrap()
+            .rows;
+            let mut want = mem.table("t").unwrap().rows_vec();
+            let n = linear_delete(&mut want, doomed);
+            for mut d in [mem.clone(), paged_copy(&mem, 4)] {
+                assert_eq!(execute_update(&mut d, sql, &[]).unwrap(), n);
+                assert_eq!(d.table("t").unwrap().rows_vec(), want, "seed {seed}: {sql}");
+            }
+            let sql = "DELETE FROM t WHERE k IN (SELECT n FROM src)";
+            let keys: Vec<Value> = mem
+                .table("src")
+                .unwrap()
+                .scan()
+                .map(|r| r[2].clone())
+                .collect();
+            let mut want = mem.table("t").unwrap().rows_vec();
+            want.retain(|r| !keys.iter().any(|k| sql_eq(&r[0], k)));
+            for mut d in [mem.clone(), paged_copy(&mem, 4)] {
+                execute_update(&mut d, sql, &[]).unwrap();
+                assert_eq!(d.table("t").unwrap().rows_vec(), want, "seed {seed}: {sql}");
+            }
+        }
     }
 }

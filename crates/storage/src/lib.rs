@@ -5,7 +5,8 @@
 //! records keyed by a monotonically assigned `u64` rowid, so it has no
 //! dependency on the `dbms` value model (the dependency points the other
 //! way — `dbms` encodes its `Row`s into records and decodes them back).
-//! Insertion order equals rowid order equals scan order, which is exactly
+//! Insertion order equals rowid order equals scan order, and in-place
+//! updates and deletes keep every surviving row's rowid, which is exactly
 //! the contract the in-memory engine's `Vec<Row>` tables provide; the two
 //! backends are therefore observationally identical to the evaluator.
 //!
@@ -20,11 +21,13 @@
 //!   and least-recently-used eviction; hit/miss/eviction counters are kept
 //!   per pool and mirrored into process-wide atomics for `/metrics`.
 //! - [`btree`] — a B-tree over (rowid, record) pairs in slotted pages:
-//!   point lookup, ordered scan via next-leaf links, right-leaning splits.
+//!   point lookup, ordered scan via next-leaf links, right-leaning splits,
+//!   in-place update and delete by key.
 //! - [`store`] — the public façade: a table directory in a meta page,
-//!   create/open/flush, append/get/scan per table.
+//!   create/open/flush, append/update/delete/get/scan per table.
 //! - [`stats`] — per-table statistics (row count, per-column KMV distinct
-//!   estimate, null fraction) collected as records are appended.
+//!   estimate, null fraction) collected as records are appended and
+//!   rebuilt by one scan after in-place writes.
 
 pub mod btree;
 pub mod bufpool;
@@ -33,6 +36,7 @@ pub mod pager;
 pub mod stats;
 pub mod store;
 
+pub use btree::MAX_RECORD;
 pub use bufpool::{global_counters, BufPoolStats};
 pub use stats::{ColumnStats, StatsBuilder, TableStatistics};
 pub use store::{ScanCursor, Store};

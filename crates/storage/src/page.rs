@@ -21,9 +21,11 @@
 //!
 //! Cells are opaque to this module except that B-tree pages store the cell's
 //! `u64` key in its first 8 bytes (little-endian), which [`Page::key`] reads
-//! and [`Page::find`] binary-searches. There is no in-page deletion or
-//! compaction: tables are append-only, and node splits rebuild pages from
-//! scratch via [`Page::init`].
+//! and [`Page::find`] binary-searches. Cell content stays contiguous:
+//! [`Page::remove_cell`] closes the hole it leaves at once, so the page
+//! never fragments, and [`Page::overwrite_cell`] rewrites a cell of
+//! unchanged length where it lies. Node splits rebuild pages from scratch
+//! via [`Page::init`].
 
 /// Size of every page in bytes.
 pub const PAGE_SIZE: usize = 4096;
@@ -187,6 +189,35 @@ impl Page {
         true
     }
 
+    /// Overwrite cell `pos` with `cell`, which must have the same length.
+    pub fn overwrite_cell(&mut self, pos: usize, cell: &[u8]) {
+        let (off, len) = self.slot(pos);
+        assert_eq!(len, cell.len(), "in-place overwrite must keep the length");
+        self.0[off..off + len].copy_from_slice(cell);
+    }
+
+    /// Remove cell `pos`, shifting later slots left, and compact the cell
+    /// area: content stored below the removed cell moves up by its length,
+    /// so free space stays one contiguous run.
+    pub fn remove_cell(&mut self, pos: usize) {
+        let n = self.nslots();
+        debug_assert!(pos < n, "slot position out of range");
+        let (off, len) = self.slot(pos);
+        let src = HEADER + SLOT * (pos + 1);
+        self.0.copy_within(src..HEADER + SLOT * n, src - SLOT);
+        self.set_nslots(n - 1);
+        let free = self.free_off();
+        self.0.copy_within(free..off, free + len);
+        self.0[free..free + len].fill(0);
+        self.set_free_off((free + len) as u16);
+        for i in 0..n - 1 {
+            let (o, _) = self.slot(i);
+            if o < off {
+                self.put_u16(HEADER + SLOT * i, (o + len) as u16);
+            }
+        }
+    }
+
     /// All cells in slot order, as owned byte vectors (used by splits to
     /// rebuild nodes).
     pub fn cells(&self) -> Vec<Vec<u8>> {
@@ -236,6 +267,29 @@ mod tests {
         assert!(p.insert_cell(0, &big));
         assert!(!p.insert_cell(1, &cell(2, b"x")));
         assert_eq!(p.nslots(), 1);
+    }
+
+    #[test]
+    fn remove_compacts_and_overwrite_keeps_place() {
+        let mut p = Page::init(PageKind::Leaf);
+        for k in 0..5u64 {
+            assert!(p.insert_cell(k as usize, &cell(k, &vec![k as u8; 10 + k as usize])));
+        }
+        let free = p.free_space();
+        p.remove_cell(2);
+        assert_eq!(p.nslots(), 4);
+        assert_eq!(p.free_space(), free + 8 + 12 + SLOT);
+        assert_eq!((p.key(0), p.key(1), p.key(2), p.key(3)), (0, 1, 3, 4));
+        for i in 0..4 {
+            let k = p.key(i);
+            assert_eq!(&p.cell(i)[8..], vec![k as u8; 10 + k as usize].as_slice());
+        }
+        p.overwrite_cell(1, &cell(1, &[9u8; 11]));
+        assert_eq!(&p.cell(1)[8..], &[9u8; 11]);
+        // The reclaimed bytes take a cell that would not have fit before.
+        let big = cell(9, &vec![1u8; p.free_space() - SLOT - 8]);
+        assert!(p.insert_cell(4, &big));
+        assert_eq!(p.free_space(), 0);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! The store façade: named append-only tables over one paged file.
+//! The store façade: named tables over one paged file.
 //!
 //! Page 0 is the meta page: magic, format version, and the table
 //! directory (name, B-tree root, next rowid, row count, column count).
@@ -6,6 +6,13 @@
 //! rewritten on [`Store::flush`]; column sketches ([`crate::stats`]) are
 //! memory-only, so a reopened store reports row counts but empty column
 //! statistics until rows are appended again.
+//!
+//! Rows are appended under monotone rowids and then rewritten or removed
+//! in place by rowid ([`Store::update`], [`Store::delete`]); a row keeps
+//! its rowid, and so its scan position, for life. A sketch cannot forget
+//! a value, so an in-place write marks the table's sketches stale, and
+//! [`Store::statistics_with`] rebuilds them from one scan before the next
+//! snapshot.
 //!
 //! A `Store` is a cheap clonable handle (`Arc<Mutex<…>>`): the `dbms`
 //! layer clones whole `Database` values freely (the fuzzer runs the
@@ -41,6 +48,8 @@ struct TableEntry {
     row_count: u64,
     ncols: u16,
     stats: StatsBuilder,
+    /// An in-place write changed rows the sketches already observed.
+    stale: bool,
 }
 
 struct Inner {
@@ -175,6 +184,7 @@ impl Store {
                 row_count: 0,
                 ncols: ncols as u16,
                 stats: StatsBuilder::new(ncols),
+                stale: false,
             },
         );
         Ok(())
@@ -186,10 +196,7 @@ impl Store {
     pub fn append(&self, table: &str, record: &[u8], hashes: &[Option<u64>]) -> Result<u64> {
         let mut inner = self.lock();
         let inner = &mut *inner;
-        let entry = inner
-            .dir
-            .get_mut(table)
-            .ok_or_else(|| StorageError::UnknownTable(table.to_string()))?;
+        let entry = entry_mut(&mut inner.dir, table)?;
         let rowid = entry.next_rowid;
         let root = btree::insert(&mut inner.pager, &mut inner.pool, entry.root, rowid, record)?;
         entry.root = root;
@@ -197,6 +204,37 @@ impl Store {
         entry.row_count += 1;
         entry.stats.observe_row(hashes);
         Ok(rowid)
+    }
+
+    /// Replace the record stored under `rowid` in `table`, keeping its
+    /// rowid and scan position; returns `false` (nothing changed) when the
+    /// table has no such row. Marks the table's sketches stale.
+    pub fn update(&self, table: &str, rowid: u64, record: &[u8]) -> Result<bool> {
+        let mut inner = self.lock();
+        let inner = &mut *inner;
+        let entry = entry_mut(&mut inner.dir, table)?;
+        let Some(root) =
+            btree::update(&mut inner.pager, &mut inner.pool, entry.root, rowid, record)?
+        else {
+            return Ok(false);
+        };
+        entry.root = root;
+        entry.stale = true;
+        Ok(true)
+    }
+
+    /// Remove the row stored under `rowid` in `table`; returns `false`
+    /// when the table has no such row. Marks the table's sketches stale.
+    pub fn delete(&self, table: &str, rowid: u64) -> Result<bool> {
+        let mut inner = self.lock();
+        let inner = &mut *inner;
+        let entry = entry_mut(&mut inner.dir, table)?;
+        if !btree::delete(&mut inner.pager, &mut inner.pool, entry.root, rowid)? {
+            return Ok(false);
+        }
+        entry.row_count -= 1;
+        entry.stale = true;
+        Ok(true)
     }
 
     /// Point lookup by rowid.
@@ -227,7 +265,8 @@ impl Store {
     }
 
     /// This table's statistics snapshot. Column sketches are only reported
-    /// when they observed every row (i.e. not after a reopen).
+    /// when they describe exactly the stored rows: not after a reopen, and
+    /// not after an in-place write (see [`Store::statistics_with`]).
     pub fn statistics(&self, table: &str) -> Result<TableStatistics> {
         let inner = self.lock();
         let entry = inner
@@ -235,11 +274,42 @@ impl Store {
             .get(table)
             .ok_or_else(|| StorageError::UnknownTable(table.to_string()))?;
         let mut snap = entry.stats.snapshot();
-        if entry.stats.rows() != entry.row_count {
+        if entry.stale || entry.stats.rows() != entry.row_count {
             snap.columns.clear();
         }
         snap.rows = entry.row_count;
         Ok(snap)
+    }
+
+    /// [`Store::statistics`], first rebuilding the sketches from one scan
+    /// when an in-place write left them stale. `hash_record` maps a stored
+    /// record to its per-column value hashes, as passed to
+    /// [`Store::append`]. Sketches are order-independent, so the rebuilt
+    /// snapshot equals that of a fresh table loaded with the same rows.
+    pub fn statistics_with(
+        &self,
+        table: &str,
+        mut hash_record: impl FnMut(&[u8]) -> Vec<Option<u64>>,
+    ) -> Result<TableStatistics> {
+        let stale = {
+            let inner = self.lock();
+            let entry = inner
+                .dir
+                .get(table)
+                .ok_or_else(|| StorageError::UnknownTable(table.to_string()))?;
+            entry.stale.then_some(entry.ncols as usize)
+        };
+        if let Some(ncols) = stale {
+            let mut stats = StatsBuilder::new(ncols);
+            for item in self.scan(table)? {
+                stats.observe_row(&hash_record(&item?.1));
+            }
+            let mut inner = self.lock();
+            let entry = entry_mut(&mut inner.dir, table)?;
+            entry.stats = stats;
+            entry.stale = false;
+        }
+        self.statistics(table)
     }
 
     /// Begin an ordered scan of `table` (rowid order = insertion order).
@@ -321,27 +391,6 @@ impl Store {
             temp_path: None,
         }))
     }
-
-    /// Reset `table` to empty: fresh B-tree root, rowids restarting at 1,
-    /// zeroed statistics. The old tree's pages are leaked in the backing
-    /// image (there is no free list) — acceptable for the materialize-and-
-    /// rewrite path behind paged UPDATE/DELETE, which operates on forked
-    /// in-memory images at fuzz scale.
-    pub fn truncate_table(&self, name: &str) -> Result<()> {
-        let mut inner = self.lock();
-        let inner = &mut *inner;
-        if !inner.dir.contains_key(name) {
-            return Err(StorageError::UnknownTable(name.to_string()));
-        }
-        let root = btree::create(&mut inner.pager, &mut inner.pool)?;
-        let entry = inner.dir.get_mut(name).expect("presence checked above");
-        let ncols = entry.ncols as usize;
-        entry.root = root;
-        entry.next_rowid = 1;
-        entry.row_count = 0;
-        entry.stats = StatsBuilder::new(ncols);
-        Ok(())
-    }
 }
 
 /// An ordered cursor over one table's records.
@@ -395,6 +444,14 @@ impl Iterator for ScanCursor {
             }
         }
     }
+}
+
+fn entry_mut<'a>(
+    dir: &'a mut BTreeMap<String, TableEntry>,
+    table: &str,
+) -> Result<&'a mut TableEntry> {
+    dir.get_mut(table)
+        .ok_or_else(|| StorageError::UnknownTable(table.to_string()))
 }
 
 /// Serialize the table directory into page 0 and write it through the
@@ -474,6 +531,7 @@ fn read_meta(pager: &mut Pager) -> Result<BTreeMap<String, TableEntry>> {
                 // Sketches are not persisted; `statistics()` reports empty
                 // column stats until rows() catches up with row_count.
                 stats: StatsBuilder::new(ncols as usize),
+                stale: false,
             },
         );
     }
@@ -590,22 +648,39 @@ mod tests {
     }
 
     #[test]
-    fn truncate_resets_table() {
+    fn update_delete_in_place() {
         let s = Store::in_memory(4);
-        s.create_table("t", 2).unwrap();
-        for i in 0..200u64 {
-            s.append("t", &record(i), &[Some(i), None]).unwrap();
+        s.create_table("t", 1).unwrap();
+        for i in 0..300u64 {
+            s.append("t", &record(i), &[Some(i % 3)]).unwrap();
         }
-        s.truncate_table("t").unwrap();
-        assert_eq!(s.row_count("t").unwrap(), 0);
-        assert_eq!(s.scan("t").unwrap().count(), 0);
-        // Rowids restart at 1 and stats are rebuilt from scratch.
-        assert_eq!(s.append("t", &record(0), &[Some(7), Some(8)]).unwrap(), 1);
-        let stats = s.statistics("t").unwrap();
-        assert_eq!(stats.rows, 1);
-        assert_eq!(stats.columns[0].ndv, 1.0);
+        let pages = s.page_count();
+        // Same length: overwritten where it lies, no page allocated.
+        assert!(s.update("t", 10, b"row-X").unwrap());
+        // Grow, shrink, delete: rowids and scan positions are kept.
+        assert!(s.update("t", 20, &[7u8; 900]).unwrap());
+        assert!(s.update("t", 30, b"r").unwrap());
+        assert!(s.delete("t", 40).unwrap());
+        assert!(!s.delete("t", 40).unwrap());
+        assert!(!s.update("t", 10_000, b"x").unwrap());
+        assert_eq!(s.row_count("t").unwrap(), 299);
+        let rows: Vec<(u64, Vec<u8>)> = s.scan("t").unwrap().map(|r| r.unwrap()).collect();
+        let rowids: Vec<u64> = rows.iter().map(|r| r.0).collect();
+        assert_eq!(rowids, (1..=300).filter(|&r| r != 40).collect::<Vec<_>>());
+        assert_eq!(s.get("t", 10).unwrap().unwrap(), b"row-X");
+        assert_eq!(s.get("t", 20).unwrap().unwrap(), vec![7u8; 900]);
+        assert_eq!(s.get("t", 30).unwrap().unwrap(), b"r");
+        assert_eq!(s.get("t", 40).unwrap(), None);
+        assert!(s.page_count() <= pages + 1);
+        // Writes leave the sketches stale; the rebuild hashes every record.
+        assert!(s.statistics("t").unwrap().columns.is_empty());
+        let stats = s
+            .statistics_with("t", |rec| vec![Some(rec.len() as u64)])
+            .unwrap();
+        assert_eq!(stats.rows, 299);
+        assert_eq!(stats.columns[0].ndv, 5.0);
         assert!(matches!(
-            s.truncate_table("missing"),
+            s.update("missing", 1, b"x"),
             Err(StorageError::UnknownTable(_))
         ));
     }

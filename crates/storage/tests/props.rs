@@ -1,13 +1,14 @@
 //! Property tests for the storage engine: slotted-page cell round-trips,
-//! B-tree insert/scan against a `BTreeMap` reference, and flush/reopen
-//! persistence of a whole store.
+//! B-tree insert/scan against a `BTreeMap` reference, flush/reopen
+//! persistence of a whole store, and random append/update/delete
+//! sequences against a `BTreeMap` model of a table.
 
 use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 use storage::page::{Page, PageKind, MAX_CELL};
 use storage::pager::Pager;
-use storage::{bufpool::BufferPool, Store};
+use storage::{bufpool::BufferPool, Store, MAX_RECORD};
 
 /// A batch of distinct (key, payload) cells small enough for one page.
 fn arb_cells() -> impl Strategy<Value = Vec<(u64, Vec<u8>)>> {
@@ -20,6 +21,35 @@ fn arb_cells() -> impl Strategy<Value = Vec<(u64, Vec<u8>)>> {
         kvs.dedup_by_key(|(k, _)| *k);
         kvs
     })
+}
+
+/// Record lengths: mostly small, some mid-sized, some near the largest
+/// record a leaf holds (so a handful fill a leaf and updates force splits).
+fn arb_len() -> impl Strategy<Value = usize> {
+    prop_oneof![0usize..40, 40usize..600, 1_500usize..MAX_RECORD + 1]
+}
+
+/// One table operation: `(kind, pick, len)`. Kinds 0–1 append, 2 update
+/// at the same length, 3 grow, 4 shrink, 5 delete; `pick` chooses the
+/// target row among the live ones.
+fn arb_ops() -> impl Strategy<Value = Vec<(u8, u64, usize)>> {
+    proptest::collection::vec((0u8..6, any::<u64>(), arb_len()), 1..300)
+}
+
+/// The store's view of `table` agrees with the model: scan order and
+/// bytes, point lookups, row count.
+fn assert_matches_model(store: &Store, model: &BTreeMap<u64, Vec<u8>>) {
+    let scanned: Vec<(u64, Vec<u8>)> = store
+        .scan("t")
+        .unwrap()
+        .collect::<storage::Result<_>>()
+        .unwrap();
+    let expected: Vec<(u64, Vec<u8>)> = model.iter().map(|(k, v)| (*k, v.clone())).collect();
+    assert_eq!(scanned, expected);
+    assert_eq!(store.row_count("t").unwrap(), model.len() as u64);
+    for (rowid, record) in model {
+        assert_eq!(store.get("t", *rowid).unwrap().as_ref(), Some(record));
+    }
 }
 
 proptest! {
@@ -123,6 +153,63 @@ proptest! {
             .collect::<storage::Result<_>>()
             .unwrap();
         prop_assert_eq!(got, expect);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// Random append / update (same size, grow, shrink) / delete sequences
+    /// on a file-backed store with an 8-frame pool agree with a
+    /// `BTreeMap` model at every checkpoint, and after flush + reopen
+    /// every page still verifies its checksum.
+    #[test]
+    fn store_writes_match_model(ops in arb_ops()) {
+        let dir = std::env::temp_dir().join(format!("eqsql-storage-model-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(format!("m{}.eqs", ops.len()));
+        let store = Store::create(&path, 8).unwrap();
+        store.create_table("t", 1).unwrap();
+        let mut model: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
+        for (step, &(kind, pick, len)) in ops.iter().enumerate() {
+            let fill = (step % 251) as u8;
+            let target = (!model.is_empty())
+                .then(|| *model.keys().nth(pick as usize % model.len()).unwrap());
+            match (kind, target) {
+                (0 | 1, _) | (_, None) => {
+                    let record = vec![fill; len];
+                    let rowid = store.append("t", &record, &[None]).unwrap();
+                    prop_assert!(model.insert(rowid, record).is_none());
+                }
+                (5, Some(rowid)) => {
+                    prop_assert!(store.delete("t", rowid).unwrap());
+                    model.remove(&rowid);
+                }
+                (_, Some(rowid)) => {
+                    let old = model[&rowid].len();
+                    let new_len = match kind {
+                        2 => old,
+                        3 => (old + len).min(MAX_RECORD),
+                        _ => old.min(len) / 2,
+                    };
+                    let record = vec![fill; new_len];
+                    prop_assert!(store.update("t", rowid, &record).unwrap());
+                    model.insert(rowid, record);
+                }
+            }
+            if step % 25 == 24 {
+                assert_matches_model(&store, &model);
+            }
+        }
+        assert_matches_model(&store, &model);
+        store.flush().unwrap();
+        drop(store);
+
+        let mut pager = Pager::open(&path).unwrap();
+        for id in 0..pager.page_count() {
+            prop_assert!(pager.read_page(id).is_ok(), "page {} fails its checksum", id);
+        }
+        drop(pager);
+        let store = Store::open(&path, 8).unwrap();
+        assert_matches_model(&store, &model);
+        drop(store);
         let _ = std::fs::remove_file(&path);
     }
 }
