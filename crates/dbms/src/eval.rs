@@ -1,11 +1,15 @@
-//! Evaluator for the extended relational algebra.
+//! Scalar evaluation and the query entry point.
 //!
-//! Semantics notes:
+//! Semantics notes (the spec both [`crate::volcano`], the one executor,
+//! and the `reference` evaluator follow):
 //!
 //! * π is order preserving and keeps duplicates (paper Sec. 3.2.1);
 //! * δ keeps the first occurrence of each row;
 //! * γ follows standard SQL `NULL` semantics (aggregates ignore `NULL`s;
 //!   `SUM` of an empty group is `NULL`, `COUNT` is `0`);
+//! * δ and γ group values by [`Value::group_eq`]: `NULL` with `NULL`, `3`
+//!   with `3.0`, and distinct integers apart even above 2^53; a row joins
+//!   the earliest group it equals ([`crate::bucket::Groups`]);
 //! * `GREATEST`/`LEAST` ignore `NULL` arguments (PostgreSQL behaviour, which
 //!   the paper's Figure 3(d) targets);
 //! * correlation (`OUTER APPLY`, `EXISTS`) resolves columns against the
@@ -19,10 +23,9 @@
 //! `imp` operators must agree with it observably (see `tests/fuzz_repros.rs`
 //! and `crates/fuzz` for the differential harness that enforces this).
 
-use std::collections::HashMap;
 use std::fmt;
 
-use algebra::ra::{AggCall, AggFunc, JoinKind, RaExpr, SortOrder};
+use algebra::ra::{AggFunc, RaExpr};
 use algebra::scalar::{BinOp, Scalar, ScalarFunc, UnOp};
 
 use crate::table::{Database, Field, Relation, Row};
@@ -73,27 +76,21 @@ impl<'a> Scope<'a> {
 
 /// Evaluate a query against a database with positional parameters.
 ///
-/// Single-table pipelines over a *paged* table are dispatched to the
-/// streaming volcano executor ([`crate::volcano`]), which produces
-/// byte-identical results while holding memory proportional to the
-/// operator state (one buffer-pool frame per scan, per-group accumulators)
-/// instead of the whole table. Everything else — joins, `OUTER APPLY`,
-/// in-memory tables — takes the materializing path.
+/// Every plan, over in-memory or paged tables, runs on the volcano
+/// executor ([`crate::volcano`]); there is no second production path.
 pub fn eval_query(ra: &RaExpr, db: &Database, params: &[Value]) -> Result<Relation, EvalError> {
-    if crate::volcano::plans_paged(ra, db) {
-        return crate::volcano::execute(ra, db, params);
-    }
-    eval_ra(ra, db, params, None)
+    crate::volcano::execute(ra, db, params)
 }
 
-/// Evaluate through the materializing evaluator unconditionally (the
-/// volcano differential sweep uses this as the reference side).
+/// Evaluate through the materializing [`reference`] evaluator, the
+/// oracle side of the executor's differential tests.
+#[cfg(any(test, feature = "test-oracles"))]
 pub fn eval_query_materialized(
     ra: &RaExpr,
     db: &Database,
     params: &[Value],
 ) -> Result<Relation, EvalError> {
-    eval_ra(ra, db, params, None)
+    reference::eval_ra(ra, db, params, None)
 }
 
 /// Output fields of an algebra expression, without evaluating it.
@@ -138,290 +135,8 @@ pub fn fields_of(ra: &RaExpr, db: &Database) -> Result<Vec<Field>, EvalError> {
     }
 }
 
-pub(crate) fn eval_ra(
-    ra: &RaExpr,
-    db: &Database,
-    params: &[Value],
-    outer: Option<&Scope<'_>>,
-) -> Result<Relation, EvalError> {
-    match ra {
-        RaExpr::Table { name, .. } => {
-            let t = db
-                .table(name)
-                .ok_or_else(|| EvalError::UnknownTable(name.clone()))?;
-            Ok(Relation {
-                fields: fields_of(ra, db)?,
-                rows: t.rows_vec(),
-            })
-        }
-        RaExpr::Values { columns, rows } => Ok(Relation {
-            fields: columns.iter().map(Field::new).collect(),
-            rows: rows
-                .iter()
-                .map(|r| r.iter().map(Value::from_lit).collect())
-                .collect(),
-        }),
-        RaExpr::Select { input, pred } => {
-            let rel = eval_ra(input, db, params, outer)?;
-            let mut rows = Vec::new();
-            for row in &rel.rows {
-                let scope = Scope {
-                    fields: &rel.fields,
-                    row,
-                    parent: outer,
-                };
-                if eval_scalar(pred, db, params, Some(&scope))?.is_true() {
-                    rows.push(row.clone());
-                }
-            }
-            Ok(Relation {
-                fields: rel.fields,
-                rows,
-            })
-        }
-        RaExpr::Project { input, items } => {
-            let rel = eval_ra(input, db, params, outer)?;
-            let fields = items.iter().map(|i| Field::new(i.alias.clone())).collect();
-            let mut rows = Vec::with_capacity(rel.rows.len());
-            for row in &rel.rows {
-                let scope = Scope {
-                    fields: &rel.fields,
-                    row,
-                    parent: outer,
-                };
-                let mut out = Vec::with_capacity(items.len());
-                for i in items {
-                    out.push(eval_scalar(&i.expr, db, params, Some(&scope))?);
-                }
-                rows.push(out);
-            }
-            Ok(Relation { fields, rows })
-        }
-        RaExpr::Join {
-            left,
-            right,
-            pred,
-            kind,
-        } => {
-            let l = eval_ra(left, db, params, outer)?;
-            let r = eval_ra(right, db, params, outer)?;
-            let mut fields = l.fields.clone();
-            fields.extend(r.fields.clone());
-            let mut rows = Vec::new();
-            for lrow in &l.rows {
-                let mut matched = false;
-                for rrow in &r.rows {
-                    let mut combined = lrow.clone();
-                    combined.extend(rrow.iter().cloned());
-                    let scope = Scope {
-                        fields: &fields,
-                        row: &combined,
-                        parent: outer,
-                    };
-                    if eval_scalar(pred, db, params, Some(&scope))?.is_true() {
-                        matched = true;
-                        rows.push(combined);
-                    }
-                }
-                if !matched && *kind == JoinKind::LeftOuter {
-                    let mut combined = lrow.clone();
-                    combined.extend(std::iter::repeat_n(Value::Null, r.fields.len()));
-                    rows.push(combined);
-                }
-            }
-            Ok(Relation { fields, rows })
-        }
-        RaExpr::OuterApply { left, right } => {
-            let l = eval_ra(left, db, params, outer)?;
-            let right_fields = fields_of(right, db)?;
-            let mut fields = l.fields.clone();
-            fields.extend(right_fields.clone());
-            let mut rows = Vec::new();
-            for lrow in &l.rows {
-                let scope = Scope {
-                    fields: &l.fields,
-                    row: lrow,
-                    parent: outer,
-                };
-                let inner = eval_ra(right, db, params, Some(&scope))?;
-                if inner.rows.is_empty() {
-                    let mut combined = lrow.clone();
-                    combined.extend(std::iter::repeat_n(Value::Null, right_fields.len()));
-                    rows.push(combined);
-                } else {
-                    for irow in &inner.rows {
-                        let mut combined = lrow.clone();
-                        combined.extend(irow.iter().cloned());
-                        rows.push(combined);
-                    }
-                }
-            }
-            Ok(Relation { fields, rows })
-        }
-        RaExpr::Aggregate {
-            input,
-            group_by,
-            aggs,
-        } => {
-            let rel = eval_ra(input, db, params, outer)?;
-            eval_aggregate(&rel, group_by, aggs, db, params, outer)
-        }
-        RaExpr::Sort { input, keys } => {
-            let rel = eval_ra(input, db, params, outer)?;
-            // Decorate-sort-undecorate for stability and single evaluation.
-            let mut decorated: Vec<(Vec<Value>, Row)> = Vec::with_capacity(rel.rows.len());
-            for row in &rel.rows {
-                let scope = Scope {
-                    fields: &rel.fields,
-                    row,
-                    parent: outer,
-                };
-                let mut ks = Vec::with_capacity(keys.len());
-                for k in keys {
-                    ks.push(eval_scalar(&k.expr, db, params, Some(&scope))?);
-                }
-                decorated.push((ks, row.clone()));
-            }
-            decorated.sort_by(|(a, _), (b, _)| {
-                for (i, k) in keys.iter().enumerate() {
-                    let ord = a[i].sort_cmp(&b[i]);
-                    let ord = match k.order {
-                        SortOrder::Asc => ord,
-                        SortOrder::Desc => ord.reverse(),
-                    };
-                    if ord != std::cmp::Ordering::Equal {
-                        return ord;
-                    }
-                }
-                std::cmp::Ordering::Equal
-            });
-            Ok(Relation {
-                fields: rel.fields,
-                rows: decorated.into_iter().map(|(_, r)| r).collect(),
-            })
-        }
-        RaExpr::Dedup { input } => {
-            let rel = eval_ra(input, db, params, outer)?;
-            let mut seen: HashMap<String, ()> = HashMap::new();
-            let mut rows = Vec::new();
-            for row in &rel.rows {
-                let key: String = row
-                    .iter()
-                    .map(|v| v.group_key())
-                    .collect::<Vec<_>>()
-                    .join("\u{1}");
-                if seen.insert(key, ()).is_none() {
-                    rows.push(row.clone());
-                }
-            }
-            Ok(Relation {
-                fields: rel.fields,
-                rows,
-            })
-        }
-        RaExpr::Limit { input, count } => {
-            let mut rel = eval_ra(input, db, params, outer)?;
-            rel.rows.truncate(*count as usize);
-            Ok(rel)
-        }
-        RaExpr::Aliased { input, alias } => {
-            let rel = eval_ra(input, db, params, outer)?;
-            Ok(Relation {
-                fields: rel
-                    .fields
-                    .into_iter()
-                    .map(|f| Field::qualified(alias.clone(), f.name))
-                    .collect(),
-                rows: rel.rows,
-            })
-        }
-    }
-}
-
-fn eval_aggregate(
-    rel: &Relation,
-    group_by: &[algebra::ra::ProjItem],
-    aggs: &[AggCall],
-    db: &Database,
-    params: &[Value],
-    outer: Option<&Scope<'_>>,
-) -> Result<Relation, EvalError> {
-    let mut fields: Vec<Field> = group_by
-        .iter()
-        .map(|g| Field::new(g.alias.clone()))
-        .collect();
-    fields.extend(aggs.iter().map(|a| Field::new(a.alias.clone())));
-
-    // Group rows preserving first-occurrence order of groups.
-    let mut order: Vec<String> = Vec::new();
-    let mut groups: HashMap<String, (Vec<Value>, Vec<usize>)> = HashMap::new();
-    for (idx, row) in rel.rows.iter().enumerate() {
-        let scope = Scope {
-            fields: &rel.fields,
-            row,
-            parent: outer,
-        };
-        let mut keys = Vec::with_capacity(group_by.len());
-        for g in group_by {
-            keys.push(eval_scalar(&g.expr, db, params, Some(&scope))?);
-        }
-        let key: String = keys
-            .iter()
-            .map(|v| v.group_key())
-            .collect::<Vec<_>>()
-            .join("\u{1}");
-        match groups.get_mut(&key) {
-            Some((_, idxs)) => idxs.push(idx),
-            None => {
-                order.push(key.clone());
-                groups.insert(key, (keys, vec![idx]));
-            }
-        }
-    }
-
-    // Empty input with no GROUP BY still yields one (all-NULL/zero) row.
-    if rel.rows.is_empty() && group_by.is_empty() {
-        let mut out = Vec::new();
-        for a in aggs {
-            out.push(empty_agg(a.func));
-        }
-        return Ok(Relation {
-            fields,
-            rows: vec![out],
-        });
-    }
-
-    let mut rows = Vec::with_capacity(order.len());
-    for key in &order {
-        let (keys, idxs) = &groups[key];
-        let mut out = keys.clone();
-        for a in aggs {
-            let mut acc = Accumulator::new(a.func);
-            for &i in idxs {
-                let row = &rel.rows[i];
-                let scope = Scope {
-                    fields: &rel.fields,
-                    row,
-                    parent: outer,
-                };
-                let v = eval_scalar(&a.arg, db, params, Some(&scope))?;
-                acc.feed(&v)?;
-            }
-            out.push(acc.finish());
-        }
-        rows.push(out);
-    }
-    Ok(Relation { fields, rows })
-}
-
-pub(crate) fn empty_agg(f: AggFunc) -> Value {
-    match f {
-        AggFunc::Count => Value::Int(0),
-        _ => Value::Null,
-    }
-}
-
-/// Streaming aggregate accumulator with SQL NULL semantics.
+/// Streaming aggregate accumulator with SQL NULL semantics. A fresh
+/// accumulator finishes to the empty-input value (`COUNT` 0, else `NULL`).
 pub(crate) struct Accumulator {
     func: AggFunc,
     count: i64,
@@ -511,13 +226,31 @@ impl Accumulator {
     }
 }
 
-/// Evaluate a scalar expression in a scope.
+/// Runs a (possibly correlated) subquery under a scope and returns its
+/// first row: the one hook through which `EXISTS` and scalar subqueries
+/// reach an executor.
+pub(crate) type FirstRow =
+    fn(&RaExpr, &Database, &[Value], Option<&Scope<'_>>) -> Result<Option<Row>, EvalError>;
+
+/// Evaluate a scalar expression in a scope. Subqueries run on the volcano
+/// executor.
 pub fn eval_scalar(
     e: &Scalar,
     db: &Database,
     params: &[Value],
     scope: Option<&Scope<'_>>,
 ) -> Result<Value, EvalError> {
+    scalar(e, db, params, scope, crate::volcano::first_row)
+}
+
+fn scalar(
+    e: &Scalar,
+    db: &Database,
+    params: &[Value],
+    scope: Option<&Scope<'_>>,
+    first_row: FirstRow,
+) -> Result<Value, EvalError> {
+    let eval = |e: &Scalar| scalar(e, db, params, scope, first_row);
     match e {
         Scalar::Lit(l) => Ok(Value::from_lit(l)),
         Scalar::Col(c) => {
@@ -526,14 +259,14 @@ pub fn eval_scalar(
         }
         Scalar::Param(i) => params.get(*i).cloned().ok_or(EvalError::MissingParam(*i)),
         Scalar::Bin(op, l, r) => {
-            let lv = eval_scalar(l, db, params, scope)?;
+            let lv = eval(l)?;
             // Short-circuit three-valued AND/OR.
             match op {
                 BinOp::And => {
                     if lv == Value::Bool(false) {
                         return Ok(Value::Bool(false));
                     }
-                    let rv = eval_scalar(r, db, params, scope)?;
+                    let rv = eval(r)?;
                     return Ok(match (lv, rv) {
                         (_, Value::Bool(false)) => Value::Bool(false),
                         (Value::Bool(true), Value::Bool(true)) => Value::Bool(true),
@@ -544,7 +277,7 @@ pub fn eval_scalar(
                     if lv == Value::Bool(true) {
                         return Ok(Value::Bool(true));
                     }
-                    let rv = eval_scalar(r, db, params, scope)?;
+                    let rv = eval(r)?;
                     return Ok(match (lv, rv) {
                         (_, Value::Bool(true)) => Value::Bool(true),
                         (Value::Bool(false), Value::Bool(false)) => Value::Bool(false),
@@ -553,11 +286,11 @@ pub fn eval_scalar(
                 }
                 _ => {}
             }
-            let rv = eval_scalar(r, db, params, scope)?;
+            let rv = eval(r)?;
             eval_binop(*op, lv, rv)
         }
         Scalar::Un(op, x) => {
-            let v = eval_scalar(x, db, params, scope)?;
+            let v = eval(x)?;
             Ok(match op {
                 UnOp::Neg => match v {
                     Value::Null => Value::Null,
@@ -578,30 +311,22 @@ pub fn eval_scalar(
         Scalar::Func(f, args) => {
             let mut vals = Vec::with_capacity(args.len());
             for a in args {
-                vals.push(eval_scalar(a, db, params, scope)?);
+                vals.push(eval(a)?);
             }
             eval_func(*f, vals)
         }
         Scalar::Case { arms, otherwise } => {
             for (c, v) in arms {
-                if eval_scalar(c, db, params, scope)?.is_true() {
-                    return eval_scalar(v, db, params, scope);
+                if eval(c)?.is_true() {
+                    return eval(v);
                 }
             }
-            eval_scalar(otherwise, db, params, scope)
+            eval(otherwise)
         }
-        Scalar::Exists(q) => {
-            let rel = eval_ra(q, db, params, scope)?;
-            Ok(Value::Bool(!rel.rows.is_empty()))
-        }
-        Scalar::Subquery(q) => {
-            let rel = eval_ra(q, db, params, scope)?;
-            Ok(rel
-                .rows
-                .first()
-                .and_then(|r| r.first().cloned())
-                .unwrap_or(Value::Null))
-        }
+        Scalar::Exists(q) => Ok(Value::Bool(first_row(q, db, params, scope)?.is_some())),
+        Scalar::Subquery(q) => Ok(first_row(q, db, params, scope)?
+            .and_then(|r| r.into_iter().next())
+            .unwrap_or(Value::Null)),
     }
 }
 
@@ -738,6 +463,300 @@ fn str_func(vals: Vec<Value>, f: impl Fn(&str) -> String) -> Result<Value, EvalE
         Some(Value::Str(s)) => Ok(Value::Str(f(&s))),
         Some(Value::Null) | None => Ok(Value::Null),
         Some(other) => Err(EvalError::Type(format!("string function on {other}"))),
+    }
+}
+
+/// The materializing evaluator, kept as the test oracle for
+/// [`crate::volcano`]: every operator builds its whole output before its
+/// parent runs, `OUTER APPLY` re-evaluates the inner side for every outer
+/// row, joins compare every pair of rows, and subqueries run here too.
+/// Only scalar evaluation is shared with the executor.
+#[cfg(any(test, feature = "test-oracles"))]
+pub mod reference {
+    use algebra::ra::{AggCall, JoinKind, RaExpr, SortOrder};
+    use algebra::scalar::Scalar;
+
+    use super::{fields_of, Accumulator, EvalError, Scope};
+    use crate::bucket::Groups;
+    use crate::table::{Database, Field, Relation, Row};
+    use crate::value::Value;
+
+    fn eval_scalar(
+        e: &Scalar,
+        db: &Database,
+        params: &[Value],
+        scope: Option<&Scope<'_>>,
+    ) -> Result<Value, EvalError> {
+        super::scalar(e, db, params, scope, first_row)
+    }
+
+    fn first_row(
+        q: &RaExpr,
+        db: &Database,
+        params: &[Value],
+        scope: Option<&Scope<'_>>,
+    ) -> Result<Option<Row>, EvalError> {
+        Ok(eval_ra(q, db, params, scope)?.rows.into_iter().next())
+    }
+
+    /// Evaluate `ra` bottom-up under an optional outer scope.
+    pub fn eval_ra(
+        ra: &RaExpr,
+        db: &Database,
+        params: &[Value],
+        outer: Option<&Scope<'_>>,
+    ) -> Result<Relation, EvalError> {
+        match ra {
+            RaExpr::Table { name, .. } => {
+                let t = db
+                    .table(name)
+                    .ok_or_else(|| EvalError::UnknownTable(name.clone()))?;
+                Ok(Relation {
+                    fields: fields_of(ra, db)?,
+                    rows: t.rows_vec(),
+                })
+            }
+            RaExpr::Values { columns, rows } => Ok(Relation {
+                fields: columns.iter().map(Field::new).collect(),
+                rows: rows
+                    .iter()
+                    .map(|r| r.iter().map(Value::from_lit).collect())
+                    .collect(),
+            }),
+            RaExpr::Select { input, pred } => {
+                let rel = eval_ra(input, db, params, outer)?;
+                let mut rows = Vec::new();
+                for row in &rel.rows {
+                    let scope = Scope {
+                        fields: &rel.fields,
+                        row,
+                        parent: outer,
+                    };
+                    if eval_scalar(pred, db, params, Some(&scope))?.is_true() {
+                        rows.push(row.clone());
+                    }
+                }
+                Ok(Relation {
+                    fields: rel.fields,
+                    rows,
+                })
+            }
+            RaExpr::Project { input, items } => {
+                let rel = eval_ra(input, db, params, outer)?;
+                let fields = items.iter().map(|i| Field::new(i.alias.clone())).collect();
+                let mut rows = Vec::with_capacity(rel.rows.len());
+                for row in &rel.rows {
+                    let scope = Scope {
+                        fields: &rel.fields,
+                        row,
+                        parent: outer,
+                    };
+                    let mut out = Vec::with_capacity(items.len());
+                    for i in items {
+                        out.push(eval_scalar(&i.expr, db, params, Some(&scope))?);
+                    }
+                    rows.push(out);
+                }
+                Ok(Relation { fields, rows })
+            }
+            RaExpr::Join {
+                left,
+                right,
+                pred,
+                kind,
+            } => {
+                let l = eval_ra(left, db, params, outer)?;
+                let r = eval_ra(right, db, params, outer)?;
+                let mut fields = l.fields.clone();
+                fields.extend(r.fields.clone());
+                let mut rows = Vec::new();
+                for lrow in &l.rows {
+                    let mut matched = false;
+                    for rrow in &r.rows {
+                        let mut combined = lrow.clone();
+                        combined.extend(rrow.iter().cloned());
+                        let scope = Scope {
+                            fields: &fields,
+                            row: &combined,
+                            parent: outer,
+                        };
+                        if eval_scalar(pred, db, params, Some(&scope))?.is_true() {
+                            matched = true;
+                            rows.push(combined);
+                        }
+                    }
+                    if !matched && *kind == JoinKind::LeftOuter {
+                        let mut combined = lrow.clone();
+                        combined.extend(std::iter::repeat_n(Value::Null, r.fields.len()));
+                        rows.push(combined);
+                    }
+                }
+                Ok(Relation { fields, rows })
+            }
+            RaExpr::OuterApply { left, right } => {
+                let l = eval_ra(left, db, params, outer)?;
+                let right_fields = fields_of(right, db)?;
+                let mut fields = l.fields.clone();
+                fields.extend(right_fields.clone());
+                let mut rows = Vec::new();
+                for lrow in &l.rows {
+                    let scope = Scope {
+                        fields: &l.fields,
+                        row: lrow,
+                        parent: outer,
+                    };
+                    let inner = eval_ra(right, db, params, Some(&scope))?;
+                    if inner.rows.is_empty() {
+                        let mut combined = lrow.clone();
+                        combined.extend(std::iter::repeat_n(Value::Null, right_fields.len()));
+                        rows.push(combined);
+                    } else {
+                        for irow in &inner.rows {
+                            let mut combined = lrow.clone();
+                            combined.extend(irow.iter().cloned());
+                            rows.push(combined);
+                        }
+                    }
+                }
+                Ok(Relation { fields, rows })
+            }
+            RaExpr::Aggregate {
+                input,
+                group_by,
+                aggs,
+            } => {
+                let rel = eval_ra(input, db, params, outer)?;
+                eval_aggregate(&rel, group_by, aggs, db, params, outer)
+            }
+            RaExpr::Sort { input, keys } => {
+                let rel = eval_ra(input, db, params, outer)?;
+                // Decorate-sort-undecorate for stability and single evaluation.
+                let mut decorated: Vec<(Vec<Value>, Row)> = Vec::with_capacity(rel.rows.len());
+                for row in &rel.rows {
+                    let scope = Scope {
+                        fields: &rel.fields,
+                        row,
+                        parent: outer,
+                    };
+                    let mut ks = Vec::with_capacity(keys.len());
+                    for k in keys {
+                        ks.push(eval_scalar(&k.expr, db, params, Some(&scope))?);
+                    }
+                    decorated.push((ks, row.clone()));
+                }
+                decorated.sort_by(|(a, _), (b, _)| {
+                    for (i, k) in keys.iter().enumerate() {
+                        let ord = a[i].sort_cmp(&b[i]);
+                        let ord = match k.order {
+                            SortOrder::Asc => ord,
+                            SortOrder::Desc => ord.reverse(),
+                        };
+                        if ord != std::cmp::Ordering::Equal {
+                            return ord;
+                        }
+                    }
+                    std::cmp::Ordering::Equal
+                });
+                Ok(Relation {
+                    fields: rel.fields,
+                    rows: decorated.into_iter().map(|(_, r)| r).collect(),
+                })
+            }
+            RaExpr::Dedup { input } => {
+                let rel = eval_ra(input, db, params, outer)?;
+                let mut groups = Groups::default();
+                let mut rows: Vec<Row> = Vec::new();
+                for row in rel.rows {
+                    if groups.find(&row, |i| &rows[i]).is_err() {
+                        rows.push(row);
+                    }
+                }
+                Ok(Relation {
+                    fields: rel.fields,
+                    rows,
+                })
+            }
+            RaExpr::Limit { input, count } => {
+                let mut rel = eval_ra(input, db, params, outer)?;
+                rel.rows.truncate(*count as usize);
+                Ok(rel)
+            }
+            RaExpr::Aliased { input, alias } => {
+                let rel = eval_ra(input, db, params, outer)?;
+                Ok(Relation {
+                    fields: rel
+                        .fields
+                        .into_iter()
+                        .map(|f| Field::qualified(alias.clone(), f.name))
+                        .collect(),
+                    rows: rel.rows,
+                })
+            }
+        }
+    }
+
+    fn eval_aggregate(
+        rel: &Relation,
+        group_by: &[algebra::ra::ProjItem],
+        aggs: &[AggCall],
+        db: &Database,
+        params: &[Value],
+        outer: Option<&Scope<'_>>,
+    ) -> Result<Relation, EvalError> {
+        let mut fields: Vec<Field> = group_by
+            .iter()
+            .map(|g| Field::new(g.alias.clone()))
+            .collect();
+        fields.extend(aggs.iter().map(|a| Field::new(a.alias.clone())));
+
+        // Group rows preserving first-occurrence order of groups.
+        let mut groups = Groups::default();
+        let mut members: Vec<(Row, Vec<usize>)> = Vec::new();
+        for (idx, row) in rel.rows.iter().enumerate() {
+            let scope = Scope {
+                fields: &rel.fields,
+                row,
+                parent: outer,
+            };
+            let mut keys = Vec::with_capacity(group_by.len());
+            for g in group_by {
+                keys.push(eval_scalar(&g.expr, db, params, Some(&scope))?);
+            }
+            match groups.find(&keys, |i| &members[i].0) {
+                Ok(id) => members[id].1.push(idx),
+                Err(_) => members.push((keys, vec![idx])),
+            }
+        }
+
+        // Empty input with no GROUP BY still yields one (all-NULL/zero) row.
+        if rel.rows.is_empty() && group_by.is_empty() {
+            let out = aggs.iter().map(|a| Accumulator::new(a.func).finish());
+            return Ok(Relation {
+                fields,
+                rows: vec![out.collect()],
+            });
+        }
+
+        let mut rows = Vec::with_capacity(members.len());
+        for (keys, idxs) in members {
+            let mut out = keys;
+            for a in aggs {
+                let mut acc = Accumulator::new(a.func);
+                for &i in &idxs {
+                    let row = &rel.rows[i];
+                    let scope = Scope {
+                        fields: &rel.fields,
+                        row,
+                        parent: outer,
+                    };
+                    let v = eval_scalar(&a.arg, db, params, Some(&scope))?;
+                    acc.feed(&v)?;
+                }
+                out.push(acc.finish());
+            }
+            rows.push(out);
+        }
+        Ok(Relation { fields, rows })
     }
 }
 

@@ -108,7 +108,10 @@ impl Value {
         }
     }
 
-    /// A stable key string for hashing groups.
+    /// A stable key string, the value hash of the NDV sketches
+    /// (`paged::value_hash`, `core::costing`). Grouping does not use it:
+    /// it formats integers as `f64`, so it merges distinct integers above
+    /// 2^53; `crate::bucket` is the grouping rule.
     pub fn group_key(&self) -> String {
         match self {
             Value::Null => "N".to_string(),

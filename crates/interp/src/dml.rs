@@ -26,8 +26,9 @@
 //!   rows hit the same target row the last writer wins, which is the
 //!   per-row loop's behaviour.
 //! * Key comparisons use SQL equality: `NULL` matches nothing, even
-//!   another `NULL`. Keys are matched through hash maps, never by
-//!   scanning one side per row of the other.
+//!   another `NULL`. Keys are matched through hash maps over the shared
+//!   equality buckets of [`dbms::bucket`], never by scanning one side per
+//!   row of the other.
 //! * Both backends serve every form. `INSERT` appends. Every `UPDATE` and
 //!   `DELETE` form becomes a per-row decision — keep, replace, delete —
 //!   applied through [`dbms::Table::edit`]: a paged table decides over one
@@ -37,9 +38,9 @@
 //!   failing statement leaves the table unchanged.
 
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 
 use algebra::parse::parse_sql;
+use dbms::bucket::{key_hash, key_index, row_hash, row_ident};
 use dbms::eval::eval_query;
 use dbms::{Database, Row, RowEdit, Table, Value};
 
@@ -58,57 +59,6 @@ impl std::error::Error for DmlError {}
 /// SQL equality: `NULL` compares equal to nothing (not even `NULL`).
 fn sql_eq(a: &Value, b: &Value) -> bool {
     !a.is_null() && !b.is_null() && a.group_eq(b)
-}
-
-/// Identity of two rows known to come from the same table (for multiset
-/// removal): positional `group_eq`, where `NULL` matches `NULL`.
-fn row_ident(a: &[Value], b: &[Value]) -> bool {
-    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.group_eq(y))
-}
-
-/// Hash bucket for value equality. Every pair that `group_eq` can call
-/// equal shares a bucket: numbers of every type go by their `f64` value
-/// (`true` = `1`, `-0.0` = `0.0`), and `NULL` is `None`. A bucket may also
-/// hold unequal values (NaN, integers past 2^53), so a hit is confirmed
-/// with `sql_eq` or `row_ident`.
-#[derive(Debug, PartialEq, Eq, Hash)]
-enum Bucket<'a> {
-    Num(u64),
-    Str(&'a str),
-}
-
-fn bucket(v: &Value) -> Option<Bucket<'_>> {
-    match v {
-        Value::Null => None,
-        Value::Str(s) => Some(Bucket::Str(s)),
-        other => {
-            let f = other.as_f64()?;
-            Some(Bucket::Num(if f == 0.0 { 0 } else { f.to_bits() }))
-        }
-    }
-}
-
-/// Hash of a row's buckets, position by position (`NULL` hashes alike,
-/// as `row_ident` matches it with `NULL`). Rows that `row_ident` calls
-/// identical hash alike.
-fn row_hash(row: &[Value]) -> u64 {
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    for v in row {
-        bucket(v).hash(&mut h);
-    }
-    h.finish()
-}
-
-/// Indices of `values` by bucket, in order; `NULL`s, which match nothing,
-/// are left out.
-fn key_index<'a>(values: impl Iterator<Item = &'a Value>) -> HashMap<Bucket<'a>, Vec<usize>> {
-    let mut index: HashMap<Bucket<'a>, Vec<usize>> = HashMap::new();
-    for (i, v) in values.enumerate() {
-        if let Some(b) = bucket(v) {
-            index.entry(b).or_default().push(i);
-        }
-    }
-    index
 }
 
 fn table_mut<'a>(db: &'a mut Database, table: &str) -> Result<&'a mut Table, DmlError> {
@@ -503,7 +453,7 @@ fn exec_update(db: &mut Database, sql: &str, params: &[Value]) -> Result<i64, Dm
         let index = key_index(rel.rows.iter().map(|r| &r[key_src]));
         // The source row at index `i ≥ from` that is next to match `key`.
         let next_match = |key: &Value, from: usize| {
-            let hits = index.get(&bucket(key)?)?;
+            let hits = index.get(&key_hash(key)?)?;
             let start = hits.partition_point(|&i| i < from);
             hits[start..]
                 .iter()
@@ -622,8 +572,8 @@ fn exec_delete(db: &mut Database, sql: &str, params: &[Value]) -> Result<i64, Dm
         let idx = column(table_mut(db, &table)?, &col)?;
         return delete_where(db, &table, |r| {
             let v = &r[idx];
-            bucket(v)
-                .and_then(|b| index.get(&b))
+            key_hash(v)
+                .and_then(|h| index.get(&h))
                 .is_some_and(|hits| hits.iter().any(|&i| sql_eq(v, &rel.rows[i][0])))
         });
     }

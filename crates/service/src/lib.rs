@@ -31,9 +31,8 @@
 //! * [`batch`] — the `eqsql batch <dir>` corpus driver with `--jobs N`
 //!   parallelism and deterministic, path-sorted output.
 //!
-//! Everything is std-only, matching the offline-build constraint
-//! established in PR 1. The event-loop server targets unix (epoll on
-//! Linux, `poll(2)` elsewhere).
+//! Everything is std-only, matching the workspace's offline-build
+//! constraint. The event-loop server targets Linux (epoll).
 
 pub mod admission;
 pub mod batch;

@@ -1,9 +1,10 @@
-//! A std-only readiness poller: epoll on Linux via a thin syscall shim,
-//! `poll(2)` elsewhere on unix.
+//! A std-only readiness poller: epoll on Linux via a thin syscall shim.
+//! Linux is the one supported target; other platforms fail to compile
+//! with an error that names epoll.
 //!
 //! The event loop in [`crate::http`] drives every connection through this
 //! interface: register a socket with a `u64` token and an interest set,
-//! wait for readiness events, react. Both backends are level-triggered —
+//! wait for readiness events, react. The poller is level-triggered —
 //! an event repeats while the condition holds, so the loop never needs to
 //! drain a socket "to completion" to stay correct.
 //!
@@ -18,6 +19,9 @@
 //! call [`Wakeup::notify`]; the event loop wakes, drains the pipe, and
 //! collects completions. Byte contents are meaningless — only readiness
 //! carries information.
+
+#[cfg(not(target_os = "linux"))]
+compile_error!("service::poll supports Linux only: the event loop is built on epoll");
 
 use std::io;
 use std::os::unix::io::RawFd;
@@ -36,7 +40,6 @@ pub struct Event {
     pub error: bool,
 }
 
-#[cfg(target_os = "linux")]
 mod sys {
     // x86_64 is the one Linux ABI where epoll_event is packed.
     #[cfg(target_arch = "x86_64")]
@@ -81,12 +84,10 @@ mod pipe_sys {
 }
 
 /// Level-triggered readiness poller over a set of registered descriptors.
-#[cfg(target_os = "linux")]
 pub struct Poller {
     epfd: RawFd,
 }
 
-#[cfg(target_os = "linux")]
 impl Poller {
     /// Create the epoll instance.
     pub fn new() -> io::Result<Poller> {
@@ -162,101 +163,9 @@ impl Poller {
     }
 }
 
-#[cfg(target_os = "linux")]
 impl Drop for Poller {
     fn drop(&mut self) {
         unsafe { pipe_sys::close(self.epfd) };
-    }
-}
-
-/// `poll(2)` fallback for non-Linux unix: the registration map is rebuilt
-/// into a pollfd array on every wait. Fine for the connection counts the
-/// service sees; Linux builds use the epoll backend above.
-#[cfg(all(unix, not(target_os = "linux")))]
-pub struct Poller {
-    entries: std::sync::Mutex<Vec<(RawFd, u64, bool, bool)>>,
-}
-
-#[cfg(all(unix, not(target_os = "linux")))]
-mod poll_sys {
-    #[repr(C)]
-    pub struct PollFd {
-        pub fd: i32,
-        pub events: i16,
-        pub revents: i16,
-    }
-    pub const POLLIN: i16 = 0x001;
-    pub const POLLOUT: i16 = 0x004;
-    pub const POLLERR: i16 = 0x008;
-    pub const POLLHUP: i16 = 0x010;
-    extern "C" {
-        pub fn poll(fds: *mut PollFd, nfds: u64, timeout: i32) -> i32;
-    }
-}
-
-#[cfg(all(unix, not(target_os = "linux")))]
-impl Poller {
-    pub fn new() -> io::Result<Poller> {
-        Ok(Poller {
-            entries: std::sync::Mutex::new(Vec::new()),
-        })
-    }
-
-    pub fn register(&self, fd: RawFd, token: u64, read: bool, write: bool) -> io::Result<()> {
-        self.entries.lock().unwrap().push((fd, token, read, write));
-        Ok(())
-    }
-
-    pub fn modify(&self, fd: RawFd, token: u64, read: bool, write: bool) -> io::Result<()> {
-        let mut es = self.entries.lock().unwrap();
-        match es.iter_mut().find(|e| e.0 == fd) {
-            Some(e) => {
-                *e = (fd, token, read, write);
-                Ok(())
-            }
-            None => Err(io::Error::new(io::ErrorKind::NotFound, "fd not registered")),
-        }
-    }
-
-    pub fn deregister(&self, fd: RawFd) -> io::Result<()> {
-        self.entries.lock().unwrap().retain(|e| e.0 != fd);
-        Ok(())
-    }
-
-    pub fn wait(&self, out: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<()> {
-        let entries = self.entries.lock().unwrap().clone();
-        let mut fds: Vec<poll_sys::PollFd> = entries
-            .iter()
-            .map(|(fd, _, r, w)| poll_sys::PollFd {
-                fd: *fd,
-                events: if *r { poll_sys::POLLIN } else { 0 }
-                    | if *w { poll_sys::POLLOUT } else { 0 },
-                revents: 0,
-            })
-            .collect();
-        let timeout_ms = match timeout {
-            None => -1,
-            Some(d) => d.as_millis().min(i32::MAX as u128) as i32,
-        };
-        let n = unsafe { poll_sys::poll(fds.as_mut_ptr(), fds.len() as u64, timeout_ms) };
-        if n < 0 {
-            let e = io::Error::last_os_error();
-            if e.kind() == io::ErrorKind::Interrupted {
-                return Ok(());
-            }
-            return Err(e);
-        }
-        for (pf, (_, token, _, _)) in fds.iter().zip(&entries) {
-            if pf.revents != 0 {
-                out.push(Event {
-                    token: *token,
-                    readable: pf.revents & (poll_sys::POLLIN | poll_sys::POLLHUP) != 0,
-                    writable: pf.revents & poll_sys::POLLOUT != 0,
-                    error: pf.revents & (poll_sys::POLLERR | poll_sys::POLLHUP) != 0,
-                });
-            }
-        }
-        Ok(())
     }
 }
 
@@ -322,7 +231,7 @@ impl Drop for Wakeup {
     }
 }
 
-#[cfg(all(test, unix))]
+#[cfg(test)]
 mod tests {
     use super::*;
     use std::io::{Read, Write};
