@@ -36,6 +36,21 @@ done
 diff -u tests/golden/corpus_lint_codes.txt "$LINT_SWEEP"
 rm -f "$LINT_SWEEP"
 
+echo "==> eqsql lint on 20,000 nested parentheses (no abort)"
+# Deep-nesting gate: a program nested far past imp's parser limit must be
+# rejected with a positioned parse error naming the limit, not kill the
+# process with a stack overflow (abort, exit 134) or any other signal.
+DEEP="$(mktemp)"
+awk 'BEGIN { s = ""; for (i = 0; i < 20000; i++) s = s "("; t = s; gsub(/\(/, ")", t);
+             print "fn f(x) { return " s "x" t "; }" }' > "$DEEP"
+status=0
+target/release/eqsql lint "$DEEP" 2> "$DEEP.err" || status=$?
+if [ "$status" -eq 0 ] || [ "$status" -ge 128 ] || ! grep -q "limit of [0-9]* levels" "$DEEP.err"; then
+    echo "deep nesting: exit $status, stderr: $(cat "$DEEP.err")" >&2
+    exit 1
+fi
+rm -f "$DEEP" "$DEEP.err"
+
 echo "==> eqsql fuzz (deterministic smoke)"
 # Differential-fuzzing gate (DESIGN.md §5f): 200 generated programs run
 # under the interpreter and through the extractor must agree exactly. The

@@ -321,8 +321,9 @@ impl Scalar {
         Scalar::Bin(op, Box::new(l), Box::new(r))
     }
 
-    /// Visit every node of the expression tree (pre-order).
-    pub fn walk(&self, f: &mut impl FnMut(&Scalar)) {
+    /// Visit every node of the expression tree (pre-order), not entering
+    /// subqueries.
+    pub fn walk<'a>(&'a self, f: &mut impl FnMut(&'a Scalar)) {
         f(self);
         match self {
             Scalar::Lit(_) | Scalar::Col(_) | Scalar::Param(_) => {}

@@ -1315,7 +1315,7 @@ impl Eval<'_> {
             if vals.len() != 2 {
                 return Err(format!("{b:?} expects two operands"));
             }
-            eval_binop(b, vals[0].clone(), vals[1].clone())
+            eval_binop(b, &vals[0], &vals[1])
                 .map(CVal::Scalar)
                 .map_err(|e| format!("operator evaluation failed: {e:?}"))
         };

@@ -23,6 +23,7 @@
 //! `imp` operators must agree with it observably (see `tests/fuzz_repros.rs`
 //! and `crates/fuzz` for the differential harness that enforces this).
 
+use std::borrow::Cow;
 use std::fmt;
 
 use algebra::ra::{AggFunc, RaExpr};
@@ -57,7 +58,9 @@ impl fmt::Display for EvalError {
 
 impl std::error::Error for EvalError {}
 
-/// A lexical scope for column resolution during correlated evaluation.
+/// The rows a bound scalar reads: the current row, laid out as `fields`,
+/// inside the scopes of enclosing queries (correlated subqueries and
+/// `OUTER APPLY` inner sides read those).
 #[derive(Clone, Copy)]
 pub struct Scope<'a> {
     pub(crate) fields: &'a [Field],
@@ -65,12 +68,163 @@ pub struct Scope<'a> {
     pub(crate) parent: Option<&'a Scope<'a>>,
 }
 
-impl<'a> Scope<'a> {
-    fn lookup(&self, qualifier: Option<&str>, name: &str) -> Option<Value> {
-        if let Ok(i) = crate::table::resolve_fields(self.fields, qualifier, name) {
-            return Some(self.row[i].clone());
+/// The field lists of `scope`'s chain, innermost first: what a scalar
+/// evaluated under it binds against.
+pub(crate) fn shapes<'a>(scope: Option<&Scope<'a>>) -> Vec<&'a [Field]> {
+    std::iter::successors(scope.copied(), |s| s.parent.copied())
+        .map(|s| s.fields)
+        .collect()
+}
+
+/// A scalar bound against the field lists of its scope chain (see
+/// [`bind`]): a column is a slot of the row at some depth, a literal or
+/// parameter a constant. Evaluation reads values by reference.
+pub(crate) enum Bound<'a> {
+    Const(Cow<'a, Value>),
+    /// Slot `slot` of the row `depth` scopes out (0 = the current row).
+    Col {
+        depth: usize,
+        slot: usize,
+    },
+    /// A column that resolves nowhere or a missing parameter: raised when
+    /// evaluated, not when bound, so an empty input raises nothing.
+    Fail(EvalError),
+    Bin(BinOp, Box<Bound<'a>>, Box<Bound<'a>>),
+    Un(UnOp, Box<Bound<'a>>),
+    Func(ScalarFunc, Vec<Bound<'a>>),
+    Case(Vec<(Bound<'a>, Bound<'a>)>, Box<Bound<'a>>),
+    Exists(&'a RaExpr),
+    Subquery(&'a RaExpr),
+}
+
+/// Bind `e` against `shapes`, the field lists of the scopes it will be
+/// evaluated under, innermost first. A column binds to the first scope
+/// that resolves it, as [`resolve_fields`] does within one; subqueries
+/// stay unbound, for the [`FirstRow`] hook to run.
+///
+/// [`resolve_fields`]: crate::table::resolve_fields
+pub(crate) fn bind<'a>(e: &'a Scalar, shapes: &[&[Field]], params: &'a [Value]) -> Bound<'a> {
+    let bind = |e: &'a Scalar| Box::new(bind(e, shapes, params));
+    match e {
+        Scalar::Lit(l) => Bound::Const(Cow::Owned(Value::from_lit(l))),
+        Scalar::Col(c) => shapes
+            .iter()
+            .enumerate()
+            .find_map(|(depth, fields)| {
+                let slot = crate::table::resolve_fields(fields, c.qualifier.as_deref(), &c.column);
+                Some(Bound::Col {
+                    depth,
+                    slot: slot.ok()?,
+                })
+            })
+            .unwrap_or_else(|| Bound::Fail(EvalError::UnknownColumn(c.to_string()))),
+        Scalar::Param(i) => params
+            .get(*i)
+            .map_or(Bound::Fail(EvalError::MissingParam(*i)), |v| {
+                Bound::Const(Cow::Borrowed(v))
+            }),
+        Scalar::Bin(op, l, r) => Bound::Bin(*op, bind(l), bind(r)),
+        Scalar::Un(op, x) => Bound::Un(*op, bind(x)),
+        Scalar::Func(f, args) => Bound::Func(*f, args.iter().map(|a| *bind(a)).collect()),
+        Scalar::Case { arms, otherwise } => Bound::Case(
+            arms.iter().map(|(c, v)| (*bind(c), *bind(v))).collect(),
+            bind(otherwise),
+        ),
+        Scalar::Exists(q) => Bound::Exists(q),
+        Scalar::Subquery(q) => Bound::Subquery(q),
+    }
+}
+
+impl<'a> Bound<'a> {
+    /// Evaluate under `scope`, whose chain has the shapes this was bound
+    /// against. Columns and constants come back borrowed.
+    pub(crate) fn eval<'r>(
+        &'r self,
+        scope: Option<&Scope<'r>>,
+        sub: &dyn FirstRow,
+    ) -> Result<Cow<'r, Value>, EvalError> {
+        let owned = |v: Value| Ok(Cow::Owned(v));
+        match self {
+            Bound::Const(v) => Ok(Cow::Borrowed(v)),
+            Bound::Col { depth, slot } => {
+                let mut s = *scope.expect("a bound column has a scope");
+                for _ in 0..*depth {
+                    s = *s.parent.expect("the scope chain it was bound against");
+                }
+                Ok(Cow::Borrowed(&s.row[*slot]))
+            }
+            Bound::Fail(e) => Err(e.clone()),
+            Bound::Bin(op, l, r) => {
+                let lv = l.eval(scope, sub)?;
+                // Short-circuit three-valued AND/OR.
+                match op {
+                    BinOp::And => {
+                        if *lv == Value::Bool(false) {
+                            return owned(Value::Bool(false));
+                        }
+                        let rv = r.eval(scope, sub)?;
+                        return owned(match (&*lv, &*rv) {
+                            (_, Value::Bool(false)) => Value::Bool(false),
+                            (Value::Bool(true), Value::Bool(true)) => Value::Bool(true),
+                            _ => Value::Null,
+                        });
+                    }
+                    BinOp::Or => {
+                        if *lv == Value::Bool(true) {
+                            return owned(Value::Bool(true));
+                        }
+                        let rv = r.eval(scope, sub)?;
+                        return owned(match (&*lv, &*rv) {
+                            (_, Value::Bool(true)) => Value::Bool(true),
+                            (Value::Bool(false), Value::Bool(false)) => Value::Bool(false),
+                            _ => Value::Null,
+                        });
+                    }
+                    _ => {}
+                }
+                let rv = r.eval(scope, sub)?;
+                owned(eval_binop(*op, &lv, &rv)?)
+            }
+            Bound::Un(op, x) => {
+                let v = x.eval(scope, sub)?;
+                owned(match (op, &*v) {
+                    (UnOp::Neg | UnOp::Not, Value::Null) => Value::Null,
+                    // checked_neg: -i64::MIN overflows → NULL-on-error.
+                    (UnOp::Neg, Value::Int(i)) => i.checked_neg().map_or(Value::Null, Value::Int),
+                    (UnOp::Neg, Value::Float(f)) => Value::Float(-f),
+                    (UnOp::Neg, other) => {
+                        return Err(EvalError::Type(format!("cannot negate {other}")))
+                    }
+                    (UnOp::Not, Value::Bool(b)) => Value::Bool(!b),
+                    (UnOp::Not, other) => {
+                        return Err(EvalError::Type(format!("cannot NOT {other}")))
+                    }
+                    (UnOp::IsNull, v) => Value::Bool(v.is_null()),
+                    (UnOp::IsNotNull, v) => Value::Bool(!v.is_null()),
+                })
+            }
+            Bound::Func(f, args) => {
+                let vals = args
+                    .iter()
+                    .map(|a| a.eval(scope, sub))
+                    .collect::<Result<Vec<_>, _>>()?;
+                owned(eval_func(*f, vals)?)
+            }
+            Bound::Case(arms, otherwise) => {
+                for (c, v) in arms {
+                    if c.eval(scope, sub)?.is_true() {
+                        return v.eval(scope, sub);
+                    }
+                }
+                otherwise.eval(scope, sub)
+            }
+            Bound::Exists(q) => owned(Value::Bool(sub.first_row(q, scope)?.is_some())),
+            Bound::Subquery(q) => owned(
+                sub.first_row(q, scope)?
+                    .and_then(|r| r.into_iter().next())
+                    .unwrap_or(Value::Null),
+            ),
         }
-        self.parent.and_then(|p| p.lookup(qualifier, name))
     }
 }
 
@@ -229,116 +383,30 @@ impl Accumulator {
 /// Runs a (possibly correlated) subquery under a scope and returns its
 /// first row: the one hook through which `EXISTS` and scalar subqueries
 /// reach an executor.
-pub(crate) type FirstRow =
-    fn(&RaExpr, &Database, &[Value], Option<&Scope<'_>>) -> Result<Option<Row>, EvalError>;
+pub(crate) trait FirstRow {
+    fn first_row(&self, q: &RaExpr, scope: Option<&Scope<'_>>) -> Result<Option<Row>, EvalError>;
+}
 
-/// Evaluate a scalar expression in a scope. Subqueries run on the volcano
-/// executor.
+/// Evaluate a scalar expression in a scope: bound against the scope's
+/// fields, then evaluated, with subqueries on the volcano executor.
 pub fn eval_scalar(
     e: &Scalar,
     db: &Database,
     params: &[Value],
     scope: Option<&Scope<'_>>,
 ) -> Result<Value, EvalError> {
-    scalar(e, db, params, scope, crate::volcano::first_row)
-}
-
-fn scalar(
-    e: &Scalar,
-    db: &Database,
-    params: &[Value],
-    scope: Option<&Scope<'_>>,
-    first_row: FirstRow,
-) -> Result<Value, EvalError> {
-    let eval = |e: &Scalar| scalar(e, db, params, scope, first_row);
-    match e {
-        Scalar::Lit(l) => Ok(Value::from_lit(l)),
-        Scalar::Col(c) => {
-            let found = scope.and_then(|s| s.lookup(c.qualifier.as_deref(), &c.column));
-            found.ok_or_else(|| EvalError::UnknownColumn(c.to_string()))
-        }
-        Scalar::Param(i) => params.get(*i).cloned().ok_or(EvalError::MissingParam(*i)),
-        Scalar::Bin(op, l, r) => {
-            let lv = eval(l)?;
-            // Short-circuit three-valued AND/OR.
-            match op {
-                BinOp::And => {
-                    if lv == Value::Bool(false) {
-                        return Ok(Value::Bool(false));
-                    }
-                    let rv = eval(r)?;
-                    return Ok(match (lv, rv) {
-                        (_, Value::Bool(false)) => Value::Bool(false),
-                        (Value::Bool(true), Value::Bool(true)) => Value::Bool(true),
-                        _ => Value::Null,
-                    });
-                }
-                BinOp::Or => {
-                    if lv == Value::Bool(true) {
-                        return Ok(Value::Bool(true));
-                    }
-                    let rv = eval(r)?;
-                    return Ok(match (lv, rv) {
-                        (_, Value::Bool(true)) => Value::Bool(true),
-                        (Value::Bool(false), Value::Bool(false)) => Value::Bool(false),
-                        _ => Value::Null,
-                    });
-                }
-                _ => {}
-            }
-            let rv = eval(r)?;
-            eval_binop(*op, lv, rv)
-        }
-        Scalar::Un(op, x) => {
-            let v = eval(x)?;
-            Ok(match op {
-                UnOp::Neg => match v {
-                    Value::Null => Value::Null,
-                    // checked_neg: -i64::MIN overflows → NULL-on-error.
-                    Value::Int(i) => i.checked_neg().map_or(Value::Null, Value::Int),
-                    Value::Float(f) => Value::Float(-f),
-                    other => return Err(EvalError::Type(format!("cannot negate {other}"))),
-                },
-                UnOp::Not => match v {
-                    Value::Null => Value::Null,
-                    Value::Bool(b) => Value::Bool(!b),
-                    other => return Err(EvalError::Type(format!("cannot NOT {other}"))),
-                },
-                UnOp::IsNull => Value::Bool(v.is_null()),
-                UnOp::IsNotNull => Value::Bool(!v.is_null()),
-            })
-        }
-        Scalar::Func(f, args) => {
-            let mut vals = Vec::with_capacity(args.len());
-            for a in args {
-                vals.push(eval(a)?);
-            }
-            eval_func(*f, vals)
-        }
-        Scalar::Case { arms, otherwise } => {
-            for (c, v) in arms {
-                if eval(c)?.is_true() {
-                    return eval(v);
-                }
-            }
-            eval(otherwise)
-        }
-        Scalar::Exists(q) => Ok(Value::Bool(first_row(q, db, params, scope)?.is_some())),
-        Scalar::Subquery(q) => Ok(first_row(q, db, params, scope)?
-            .and_then(|r| r.into_iter().next())
-            .unwrap_or(Value::Null)),
-    }
+    crate::volcano::eval_scalar(e, db, params, scope)
 }
 
 /// Evaluate a binary operation on two values with SQL semantics (NULL
 /// propagation, mixed numeric widening, integer division-by-zero → NULL).
 /// Exposed for the `interp` crate, whose `imp` arithmetic matches.
-pub fn eval_binop(op: BinOp, l: Value, r: Value) -> Result<Value, EvalError> {
+pub fn eval_binop(op: BinOp, l: &Value, r: &Value) -> Result<Value, EvalError> {
     if l.is_null() || r.is_null() {
         return Ok(Value::Null);
     }
     if op.is_comparison() {
-        let ord = l.sql_cmp(&r);
+        let ord = l.sql_cmp(r);
         return Ok(match ord {
             None => {
                 // Comparable-but-mixed types: only (in)equality is defined.
@@ -362,7 +430,7 @@ pub fn eval_binop(op: BinOp, l: Value, r: Value) -> Result<Value, EvalError> {
     // Arithmetic. Integer errors (overflow, division by zero) yield NULL —
     // one defined behaviour shared with the interpreter instead of the
     // panic-in-debug / wrap-in-release split of native `i64` arithmetic.
-    match (op, &l, &r) {
+    match (op, l, r) {
         (BinOp::Add, Value::Int(a), Value::Int(b)) => {
             Ok(a.checked_add(*b).map_or(Value::Null, Value::Int))
         }
@@ -405,11 +473,11 @@ pub fn eval_binop(op: BinOp, l: Value, r: Value) -> Result<Value, EvalError> {
     }
 }
 
-fn eval_func(f: ScalarFunc, vals: Vec<Value>) -> Result<Value, EvalError> {
+fn eval_func(f: ScalarFunc, vals: Vec<Cow<'_, Value>>) -> Result<Value, EvalError> {
     match f {
         ScalarFunc::Greatest | ScalarFunc::Least => {
             // PostgreSQL behaviour: NULLs ignored; NULL only if all NULL.
-            let mut best: Option<Value> = None;
+            let mut best: Option<Cow<'_, Value>> = None;
             for v in vals {
                 if v.is_null() {
                     continue;
@@ -426,9 +494,9 @@ fn eval_func(f: ScalarFunc, vals: Vec<Value>) -> Result<Value, EvalError> {
                     best = Some(v);
                 }
             }
-            Ok(best.unwrap_or(Value::Null))
+            Ok(best.map_or(Value::Null, Cow::into_owned))
         }
-        ScalarFunc::Abs => match vals.first() {
+        ScalarFunc::Abs => match vals.first().map(|v| &**v) {
             // checked_abs: ABS(i64::MIN) overflows → NULL-on-error.
             Some(Value::Int(i)) => Ok(i.checked_abs().map_or(Value::Null, Value::Int)),
             Some(Value::Float(x)) => Ok(Value::Float(x.abs())),
@@ -446,7 +514,7 @@ fn eval_func(f: ScalarFunc, vals: Vec<Value>) -> Result<Value, EvalError> {
         }
         ScalarFunc::Lower => str_func(vals, |s| s.to_lowercase()),
         ScalarFunc::Upper => str_func(vals, |s| s.to_uppercase()),
-        ScalarFunc::Length => match vals.into_iter().next() {
+        ScalarFunc::Length => match vals.first().map(|v| &**v) {
             Some(Value::Str(s)) => Ok(Value::Int(s.len() as i64)),
             Some(Value::Null) | None => Ok(Value::Null),
             Some(other) => Err(EvalError::Type(format!("LENGTH of {other}"))),
@@ -454,13 +522,13 @@ fn eval_func(f: ScalarFunc, vals: Vec<Value>) -> Result<Value, EvalError> {
         ScalarFunc::Coalesce => Ok(vals
             .into_iter()
             .find(|v| !v.is_null())
-            .unwrap_or(Value::Null)),
+            .map_or(Value::Null, Cow::into_owned)),
     }
 }
 
-fn str_func(vals: Vec<Value>, f: impl Fn(&str) -> String) -> Result<Value, EvalError> {
-    match vals.into_iter().next() {
-        Some(Value::Str(s)) => Ok(Value::Str(f(&s))),
+fn str_func(vals: Vec<Cow<'_, Value>>, f: impl Fn(&str) -> String) -> Result<Value, EvalError> {
+    match vals.first().map(|v| &**v) {
+        Some(Value::Str(s)) => Ok(Value::Str(f(s))),
         Some(Value::Null) | None => Ok(Value::Null),
         Some(other) => Err(EvalError::Type(format!("string function on {other}"))),
     }
@@ -476,27 +544,38 @@ pub mod reference {
     use algebra::ra::{AggCall, JoinKind, RaExpr, SortOrder};
     use algebra::scalar::Scalar;
 
-    use super::{fields_of, Accumulator, EvalError, Scope};
+    use super::{bind, fields_of, shapes, Accumulator, EvalError, FirstRow, Scope};
     use crate::bucket::Groups;
     use crate::table::{Database, Field, Relation, Row};
     use crate::value::Value;
 
+    /// Bind `e` against `scope` and evaluate it, running subqueries here.
     fn eval_scalar(
         e: &Scalar,
         db: &Database,
         params: &[Value],
         scope: Option<&Scope<'_>>,
     ) -> Result<Value, EvalError> {
-        super::scalar(e, db, params, scope, first_row)
+        let bound = bind(e, &shapes(scope), params);
+        Ok(bound.eval(scope, &Oracle { db, params })?.into_owned())
     }
 
-    fn first_row(
-        q: &RaExpr,
-        db: &Database,
-        params: &[Value],
-        scope: Option<&Scope<'_>>,
-    ) -> Result<Option<Row>, EvalError> {
-        Ok(eval_ra(q, db, params, scope)?.rows.into_iter().next())
+    struct Oracle<'a> {
+        db: &'a Database,
+        params: &'a [Value],
+    }
+
+    impl FirstRow for Oracle<'_> {
+        fn first_row(
+            &self,
+            q: &RaExpr,
+            scope: Option<&Scope<'_>>,
+        ) -> Result<Option<Row>, EvalError> {
+            Ok(eval_ra(q, self.db, self.params, scope)?
+                .rows
+                .into_iter()
+                .next())
+        }
     }
 
     /// Evaluate `ra` bottom-up under an optional outer scope.

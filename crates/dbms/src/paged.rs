@@ -9,7 +9,9 @@
 //! as the in-memory `Vec<Row>` backing, which keeps the two backends
 //! byte-identical under the evaluator.
 
-use storage::{fnv64, StorageError, Store, TableStatistics, MAX_RECORD};
+use std::borrow::Cow;
+
+use storage::{fnv64, Decode, ScanCursor, StorageError, Store, TableStatistics, MAX_RECORD};
 
 use crate::table::Row;
 use crate::value::Value;
@@ -44,34 +46,40 @@ pub fn encode_row(row: &[Value]) -> Vec<u8> {
     out
 }
 
-/// Decode a record produced by [`encode_row`]. Panics on malformed bytes —
-/// records only ever come back from a checksummed page, so corruption is
-/// caught at the pager layer first.
-pub fn decode_row(mut bytes: &[u8]) -> Row {
+/// Decode a record produced by [`encode_row`] into a row of `keep.len()`
+/// values, the table's width. A column whose `keep` flag is set decodes;
+/// any other is skipped in the byte stream and reads as NULL, allocating
+/// nothing. Panics on malformed bytes — records only ever come back from a
+/// checksummed page, so corruption is caught at the pager layer first.
+pub fn decode_row(mut bytes: &[u8], keep: &[bool]) -> Row {
     fn take<'a>(bytes: &mut &'a [u8], n: usize) -> &'a [u8] {
         let (head, tail) = bytes.split_at(n);
         *bytes = tail;
         head
     }
-    let mut row = Vec::new();
+    let mut row = Vec::with_capacity(keep.len());
     while !bytes.is_empty() {
+        let kept = keep.get(row.len()) == Some(&true);
         let tag = take(&mut bytes, 1)[0];
-        row.push(match tag {
-            0 => Value::Null,
-            1 => Value::Bool(take(&mut bytes, 1)[0] != 0),
-            2 => Value::Int(i64::from_le_bytes(
-                take(&mut bytes, 8).try_into().expect("8 bytes"),
-            )),
-            3 => Value::Float(f64::from_le_bytes(
-                take(&mut bytes, 8).try_into().expect("8 bytes"),
-            )),
-            4 => {
-                let len =
-                    u32::from_le_bytes(take(&mut bytes, 4).try_into().expect("4 bytes")) as usize;
-                let text = std::str::from_utf8(take(&mut bytes, len)).expect("UTF-8 string");
-                Value::Str(text.to_string())
-            }
+        let payload = match tag {
+            0 => 0,
+            1 => 1,
+            2 | 3 => 8,
+            4 => u32::from_le_bytes(take(&mut bytes, 4).try_into().expect("4 bytes")) as usize,
             other => panic!("corrupt record: unknown value tag {other}"),
+        };
+        let payload = take(&mut bytes, payload);
+        row.push(match tag {
+            _ if !kept => Value::Null,
+            0 => Value::Null,
+            1 => Value::Bool(payload[0] != 0),
+            2 => Value::Int(i64::from_le_bytes(payload.try_into().expect("8 bytes"))),
+            3 => Value::Float(f64::from_le_bytes(payload.try_into().expect("8 bytes"))),
+            _ => Value::Str(
+                std::str::from_utf8(payload)
+                    .expect("UTF-8 string")
+                    .to_string(),
+            ),
         });
     }
     row
@@ -174,9 +182,10 @@ impl PagedTable {
         mut decide: impl FnMut(&[Value]) -> RowEdit,
     ) -> Result<(), StorageError> {
         let mut writes: Vec<(u64, Option<Vec<u8>>)> = Vec::new();
+        let every = vec![true; self.width()];
         for item in self.store.scan(&self.name)? {
             let (rowid, record) = item?;
-            match decide(&decode_row(&record)) {
+            match decide(&decode_row(&record, &every)) {
                 RowEdit::Keep => {}
                 RowEdit::Delete => writes.push((rowid, None)),
                 RowEdit::Replace(row) => {
@@ -206,19 +215,32 @@ impl PagedTable {
         self.len() == 0
     }
 
-    /// An ordered scan (insertion order) decoding each record.
-    pub fn scan(&self) -> PagedScan {
+    /// Columns per row.
+    fn width(&self) -> usize {
+        self.store
+            .column_count(&self.name)
+            .expect("column count of stored table")
+    }
+
+    /// An ordered scan (insertion order) decoding the columns `keep` marks
+    /// (one flag per column) in place on each leaf; the others read as
+    /// NULL.
+    pub fn scan<'a>(&self, keep: Cow<'a, [bool]>) -> PagedScan<'a> {
         PagedScan {
-            cursor: self.store.scan(&self.name).expect("scan stored table"),
+            cursor: self
+                .store
+                .scan_with(&self.name, RowDecoder { keep })
+                .expect("scan stored table"),
         }
     }
 
     /// Statistics snapshot from the store's sketches, rebuilt by one scan
     /// first when an in-place write left them stale.
     pub fn statistics(&self) -> TableStatistics {
+        let every = vec![true; self.width()];
         self.store
             .statistics_with(&self.name, |record| {
-                decode_row(record).iter().map(value_hash).collect()
+                decode_row(record, &every).iter().map(value_hash).collect()
             })
             .expect("statistics for stored table")
     }
@@ -229,17 +251,29 @@ impl PagedTable {
     }
 }
 
-/// Iterator over a paged table's rows in insertion order.
-pub struct PagedScan {
-    cursor: storage::ScanCursor,
+/// [`decode_row`] as a scan decoder.
+struct RowDecoder<'a> {
+    keep: Cow<'a, [bool]>,
 }
 
-impl Iterator for PagedScan {
+impl Decode for RowDecoder<'_> {
+    type Item = Row;
+
+    fn decode(&mut self, _rowid: u64, record: &[u8]) -> Row {
+        decode_row(record, &self.keep)
+    }
+}
+
+/// Iterator over a paged table's rows in insertion order.
+pub struct PagedScan<'a> {
+    cursor: ScanCursor<RowDecoder<'a>>,
+}
+
+impl Iterator for PagedScan<'_> {
     type Item = Row;
 
     fn next(&mut self) -> Option<Row> {
-        let (_rowid, record) = self.cursor.next()?.expect("scan stored table");
-        Some(decode_row(&record))
+        Some(self.cursor.next()?.expect("scan stored table"))
     }
 }
 
@@ -257,8 +291,15 @@ mod tests {
             Value::Str("héllo".into()),
             Value::Str(String::new()),
         ];
-        assert_eq!(decode_row(&encode_row(&row)), row);
-        assert_eq!(decode_row(&[]), Vec::<Value>::new());
+        let every = [true; 6];
+        assert_eq!(decode_row(&encode_row(&row), &every), row);
+        assert_eq!(decode_row(&[], &[]), Vec::<Value>::new());
+        // Unkept columns are skipped, whatever their tag, and read as NULL.
+        let keep = [false, false, true, false, false, true];
+        let mut want = vec![Value::Null; 6];
+        want[2] = Value::Int(-42);
+        want[5] = Value::Str(String::new());
+        assert_eq!(decode_row(&encode_row(&row), &keep), want);
     }
 
     #[test]
@@ -277,7 +318,7 @@ mod tests {
             .collect();
         t.insert_all(&rows).unwrap();
         assert_eq!(t.len(), 300);
-        let rows: Vec<Row> = t.scan().collect();
+        let rows: Vec<Row> = t.scan(Cow::Owned(vec![true; 2])).collect();
         assert_eq!(rows.len(), 300);
         assert_eq!(rows[0][0], Value::Int(0));
         assert_eq!(rows[299][1], Value::Str("s2".into()));

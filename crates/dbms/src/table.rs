@@ -7,6 +7,7 @@
 //! paged backing additionally keeps memory bounded by the buffer pool's
 //! frame budget and collects per-column statistics.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 use algebra::schema::{Catalog, TableSchema};
@@ -100,20 +101,29 @@ impl Table {
         matches!(self.backing, Backing::Paged(_))
     }
 
-    /// Iterate rows in insertion order (owned; in-memory rows are cloned,
-    /// paged rows are decoded one leaf page at a time).
+    /// Iterate rows in insertion order, every column (owned; in-memory
+    /// rows are cloned, paged rows are decoded one leaf page at a time).
     pub fn scan(&self) -> TableScan<'_> {
-        match &self.backing {
-            Backing::Mem(rows) => TableScan::Mem(rows.iter()),
-            Backing::Paged(t) => TableScan::Paged(t.scan()),
-        }
+        self.scan_columns(Cow::Owned(vec![true; self.schema.columns.len()]))
+    }
+
+    /// Iterate rows in insertion order, reading only the columns `keep`
+    /// marks (one flag per schema column); the others read as NULL. A
+    /// paged table decodes only the kept columns, an in-memory one clones
+    /// only them.
+    pub fn scan_columns<'a>(&'a self, keep: Cow<'a, [bool]>) -> TableScan<'a> {
+        debug_assert_eq!(keep.len(), self.schema.columns.len(), "keep-set width");
+        TableScan(match &self.backing {
+            Backing::Mem(rows) => Scan::Mem(rows.iter(), keep),
+            Backing::Paged(t) => Scan::Paged(t.scan(keep)),
+        })
     }
 
     /// All rows, materialized.
     pub fn rows_vec(&self) -> Vec<Row> {
         match &self.backing {
             Backing::Mem(rows) => rows.clone(),
-            Backing::Paged(t) => t.scan().collect(),
+            Backing::Paged(_) => self.scan().collect(),
         }
     }
 
@@ -170,21 +180,29 @@ impl Table {
     }
 }
 
-/// Iterator over a table's rows in insertion order.
-pub enum TableScan<'a> {
-    /// Cloning iterator over in-memory rows.
-    Mem(std::slice::Iter<'a, Row>),
+/// Iterator over a table's rows in insertion order (see
+/// [`Table::scan_columns`]).
+pub struct TableScan<'a>(Scan<'a>);
+
+enum Scan<'a> {
+    /// Cloning iterator over in-memory rows and the columns to clone.
+    Mem(std::slice::Iter<'a, Row>, Cow<'a, [bool]>),
     /// Decoding scan over B-tree leaves.
-    Paged(crate::paged::PagedScan),
+    Paged(crate::paged::PagedScan<'a>),
 }
 
 impl Iterator for TableScan<'_> {
     type Item = Row;
 
     fn next(&mut self) -> Option<Row> {
-        match self {
-            TableScan::Mem(it) => it.next().cloned(),
-            TableScan::Paged(it) => it.next(),
+        match &mut self.0 {
+            Scan::Mem(rows, keep) => rows.next().map(|row| {
+                row.iter()
+                    .zip(keep.iter())
+                    .map(|(v, &kept)| if kept { v.clone() } else { Value::Null })
+                    .collect()
+            }),
+            Scan::Paged(it) => it.next(),
         }
     }
 }

@@ -1,12 +1,25 @@
 //! The volcano (iterator-model) executor: the one engine every query runs
 //! on, over in-memory and paged tables alike.
 //!
-//! Each operator pulls one row at a time from its child. Scans, filters,
-//! projections, `LIMIT` and aliases stream; over a paged table the scan
-//! holds one B-tree leaf at a time. Pipeline breakers hold only their own
-//! state: τ buffers its input (a blocking operator, as the paper treats
+//! An execution first binds the plan once ([`Binder`]) into a tree of
+//! [`Node`]s: every scalar becomes a [`Bound`] expression whose columns are
+//! slots at some scope depth, each node knows its output fields, and each
+//! base-table scan knows which columns it decodes. Operators are then built
+//! over that tree; each pulls one row at a time from its child and
+//! evaluates through the bound slots, reading values by reference. Scans,
+//! filters, projections, `LIMIT` and aliases stream; over a paged table the
+//! scan holds one B-tree leaf at a time. Pipeline breakers hold only their
+//! own state: τ buffers its input (a blocking operator, as the paper treats
 //! it), γ one accumulator set per group, δ the distinct rows seen, and a
 //! join its right side.
+//!
+//! **Column pruning.** The binder collects every column name any scalar of
+//! the plan names, subqueries included and qualifiers ignored. A base-table
+//! scan decodes (paged) or clones (in memory) a column only when its name
+//! is in that set; the others read as NULL. The exception is a scan with no
+//! π or γ between it and the plan's root or a δ: it keeps every column,
+//! since δ compares whole rows and the root (`SELECT *`) returns them. A
+//! subquery's root counts as a root.
 //!
 //! Operators:
 //!
@@ -15,38 +28,45 @@
 //! * **Join.** A nested loop: the right side is drained once, and each left
 //!   row, in order, is tested against every right row. A `LEFT` join pads
 //!   an unmatched left row with NULLs.
-//! * **`OUTER APPLY`.** Per outer row, the inner side runs as a fresh
-//!   pipeline under that row's scope; an empty result pads with NULLs.
-//!   When the inner side's single-input spine (ρ, `LIMIT`, π, τ, δ, γ, σ)
-//!   ends in `Select(Table, … col = <outer-only expr> …)`, that table is
-//!   read through a [`BucketScan`]: it is scanned once per execution —
-//!   lazily, on the first pull — into [`key_index`] buckets on `col`, and
-//!   each outer row's pipeline reads only its key's bucket, in scan order.
-//!   The `Select` and everything above it run unchanged on those rows.
+//! * **`OUTER APPLY`.** Per outer row, the inner side's operators are built
+//!   afresh over its bound nodes and run under that row's scope; an empty
+//!   result pads with NULLs. When the inner side's single-input spine (ρ,
+//!   `LIMIT`, π, τ, δ, γ, σ) ends in `Select(Table, … col = <outer-only
+//!   expr> …)`, that table is read through a [`BucketScan`]: it is scanned
+//!   once per execution — lazily, on the first pull — into [`key_index`]
+//!   buckets on `col`, and each outer row's pipeline reads only its key's
+//!   bucket, in scan order. The `Select` and everything above it run
+//!   unchanged on those rows.
 //! * **Grouping.** γ without `GROUP BY` keeps a single accumulator set; γ
 //!   with it and δ group through [`Groups`] (bucket hash, confirmed with
 //!   `group_eq`), so groups emit in first-occurrence order.
-//! * **Subqueries.** `EXISTS` and scalar subqueries run as pipelines under
-//!   the current row's scope and stop after one row.
+//! * **Subqueries.** `EXISTS` and scalar subqueries are bound with the plan
+//!   and run as pipelines under the current row's scope, stopping after one
+//!   row.
+//!
+//! Binding raises nothing a lazy evaluation would not: a column that
+//! resolves nowhere, a missing parameter, or a subquery over an unknown
+//! table raises when evaluated, so an empty input raises nothing.
 //!
 //! A bucket scan only narrows the rows the `Select` would test, so rows,
 //! row order, NULL keys matching nothing, and Int/Float/Bool equality
 //! through `sql_cmp` are those of the full scan. Evaluation errors are not
 //! kept: a predicate that fails on a row outside the bucket raises nothing
 //! here, and a key that fails to evaluate raises its error even where the
-//! full scan would test no row. The executor reuses the shared scalar
-//! evaluator, comparator and accumulators; `tests/volcano_diff.rs` holds it
-//! to the materializing `eval::reference` evaluator on in-memory and paged
-//! twins.
+//! full scan would test no row. The executor shares the scalar evaluator,
+//! comparator and accumulators with the materializing `eval::reference`
+//! evaluator; `tests/volcano_diff.rs` holds the two to the same results on
+//! in-memory and paged twins.
 
+use std::borrow::Cow;
 use std::cell::OnceCell;
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 
-use algebra::ra::{AggCall, JoinKind, ProjItem, RaExpr, SortKey, SortOrder};
-use algebra::scalar::{BinOp, Scalar};
+use algebra::ra::{AggFunc, JoinKind, RaExpr, SortOrder};
+use algebra::scalar::{BinOp, Lit, Scalar};
 
 use crate::bucket::{key_hash, key_index, Groups, KeyIndex};
-use crate::eval::{eval_scalar, fields_of, Accumulator, EvalError, Scope};
+use crate::eval::{bind, fields_of, shapes, Accumulator, Bound, EvalError, FirstRow, Scope};
 use crate::table::{resolve_fields, Database, Field, Relation, Row, Table, TableScan};
 use crate::value::Value;
 
@@ -59,187 +79,508 @@ pub fn plans_paged(_ra: &RaExpr, _db: &Database) -> bool {
 
 /// Execute a plan, draining the operator tree into a [`Relation`].
 pub fn execute(ra: &RaExpr, db: &Database, params: &[Value]) -> Result<Relation, EvalError> {
+    let mut binder = Binder::new(db, params, plan_names(ra));
+    let root = binder.node(ra, &[], true)?;
+    let exec = binder.finish();
     let mut op = build(
-        ra,
+        &root,
         Ctx {
-            db,
-            params,
+            exec: &exec,
             outer: None,
             probe: None,
         },
-    )?;
-    let fields = op.fields().to_vec();
+    );
     let mut rows = Vec::new();
     while let Some(row) = op.next()? {
         rows.push(row);
     }
-    Ok(Relation { fields, rows })
+    Ok(Relation {
+        fields: root.fields().to_vec(),
+        rows,
+    })
 }
 
-/// The first row of a (possibly correlated) subquery run under `scope`;
-/// the pipeline stops pulling after it.
-pub(crate) fn first_row(
-    q: &RaExpr,
+/// [`crate::eval::eval_scalar`]: bind `e` (and its subqueries) against
+/// `scope`, then evaluate it.
+pub(crate) fn eval_scalar(
+    e: &Scalar,
     db: &Database,
     params: &[Value],
     scope: Option<&Scope<'_>>,
-) -> Result<Option<Row>, EvalError> {
-    build(
-        q,
-        Ctx {
-            db,
-            params,
-            outer: scope,
-            probe: None,
-        },
-    )?
-    .next()
+) -> Result<Value, EvalError> {
+    let mut names = Vec::new();
+    scalar_names(e, &mut names);
+    let mut binder = Binder::new(db, params, names);
+    let bound = binder.scalar(e, &shapes(scope));
+    let exec = binder.finish();
+    Ok(bound.eval(scope, &exec)?.into_owned())
 }
 
-/// What every operator evaluates against: the database, the query's
-/// parameters, the scope of the enclosing query's current row (for
-/// correlated subqueries and `OUTER APPLY` inner sides), and the table an
-/// `OUTER APPLY` inner side reads through a [`BucketScan`].
-#[derive(Clone, Copy)]
-struct Ctx<'a> {
+/// Every column name a scalar of `ra` names, subqueries included.
+fn plan_names(ra: &RaExpr) -> Vec<&str> {
+    let mut names = Vec::new();
+    ra.walk(&mut |node| {
+        for e in own_scalars(node) {
+            scalar_names(e, &mut names);
+        }
+    });
+    names
+}
+
+/// The scalars a plan node evaluates itself (not those of its inputs).
+fn own_scalars(ra: &RaExpr) -> Vec<&Scalar> {
+    match ra {
+        RaExpr::Select { pred, .. } | RaExpr::Join { pred, .. } => vec![pred],
+        RaExpr::Project { items, .. } => items.iter().map(|i| &i.expr).collect(),
+        RaExpr::Sort { keys, .. } => keys.iter().map(|k| &k.expr).collect(),
+        RaExpr::Aggregate { group_by, aggs, .. } => group_by
+            .iter()
+            .map(|g| &g.expr)
+            .chain(aggs.iter().map(|a| &a.arg))
+            .collect(),
+        _ => Vec::new(),
+    }
+}
+
+/// Column names `e` names, its subqueries' included.
+fn scalar_names<'a>(e: &'a Scalar, names: &mut Vec<&'a str>) {
+    e.walk(&mut |n| match n {
+        Scalar::Col(c) => names.push(&c.column),
+        Scalar::Exists(q) | Scalar::Subquery(q) => names.extend(plan_names(q)),
+        _ => {}
+    });
+}
+
+/// A plan node bound for one execution: its output fields, its inputs, and
+/// what it evaluates, bound once (see [`Binder`]).
+enum Node<'a> {
+    Scan {
+        /// The `Table` node, which an `OUTER APPLY` [`Probe`] may claim.
+        ra: &'a RaExpr,
+        table: &'a Table,
+        fields: Vec<Field>,
+        /// One flag per column: decode it (see the module docs).
+        keep: Vec<bool>,
+    },
+    Values {
+        fields: Vec<Field>,
+        rows: &'a [Vec<Lit>],
+    },
+    Select {
+        input: Box<Node<'a>>,
+        pred: Bound<'a>,
+    },
+    Project {
+        fields: Vec<Field>,
+        input: Box<Node<'a>>,
+        items: Vec<Bound<'a>>,
+    },
+    Join {
+        fields: Vec<Field>,
+        left: Box<Node<'a>>,
+        right: Box<Node<'a>>,
+        pred: Bound<'a>,
+        kind: JoinKind,
+    },
+    Apply {
+        fields: Vec<Field>,
+        left: Box<Node<'a>>,
+        right: Box<Node<'a>>,
+        probe: Option<Probe<'a>>,
+    },
+    Sort {
+        input: Box<Node<'a>>,
+        keys: Vec<(Bound<'a>, SortOrder)>,
+    },
+    Dedup {
+        input: Box<Node<'a>>,
+    },
+    Limit {
+        input: Box<Node<'a>>,
+        count: usize,
+    },
+    Aggregate {
+        fields: Vec<Field>,
+        input: Box<Node<'a>>,
+        group_by: Vec<Bound<'a>>,
+        aggs: Vec<(AggFunc, Bound<'a>)>,
+    },
+    Alias {
+        fields: Vec<Field>,
+        input: Box<Node<'a>>,
+    },
+}
+
+impl Node<'_> {
+    /// The node's output fields.
+    fn fields(&self) -> &[Field] {
+        match self {
+            Node::Scan { fields, .. }
+            | Node::Values { fields, .. }
+            | Node::Project { fields, .. }
+            | Node::Join { fields, .. }
+            | Node::Apply { fields, .. }
+            | Node::Aggregate { fields, .. }
+            | Node::Alias { fields, .. } => fields,
+            Node::Select { input, .. }
+            | Node::Sort { input, .. }
+            | Node::Dedup { input }
+            | Node::Limit { input, .. } => input.fields(),
+        }
+    }
+}
+
+/// `fields` in front of the enclosing scopes' `outer`: the shapes a scalar
+/// over rows laid out as `fields` binds against.
+fn within<'s>(fields: &'s [Field], outer: &[&'s [Field]]) -> Vec<&'s [Field]> {
+    std::iter::once(fields)
+        .chain(outer.iter().copied())
+        .collect()
+}
+
+/// Binds a plan for one execution: each node, scalar and subquery once.
+struct Binder<'a> {
     db: &'a Database,
     params: &'a [Value],
+    /// Every column name the plan names, sorted (see the module docs).
+    names: Vec<&'a str>,
+    subplans: HashMap<*const RaExpr, Result<Node<'a>, EvalError>>,
+}
+
+impl<'a> Binder<'a> {
+    fn new(db: &'a Database, params: &'a [Value], mut names: Vec<&'a str>) -> Binder<'a> {
+        names.sort_unstable();
+        names.dedup();
+        Binder {
+            db,
+            params,
+            names,
+            subplans: HashMap::new(),
+        }
+    }
+
+    fn finish(self) -> Exec<'a> {
+        Exec {
+            subplans: self.subplans,
+        }
+    }
+
+    /// Bind `e` against `shapes`, and every subquery in it against the
+    /// same shapes (a subquery runs under the scope `e` is evaluated in).
+    fn scalar(&mut self, e: &'a Scalar, shapes: &[&[Field]]) -> Bound<'a> {
+        e.walk(&mut |n| {
+            if let Scalar::Exists(q) | Scalar::Subquery(q) = n {
+                let plan = self.node(q, shapes, true);
+                self.subplans.insert(&**q, plan);
+            }
+        });
+        bind(e, shapes, self.params)
+    }
+
+    /// Bind `ra` under enclosing scopes of `outer` shapes (innermost
+    /// first). `whole`: no π or γ stands between `ra` and the root or a δ,
+    /// so its scans keep every column.
+    fn node(
+        &mut self,
+        ra: &'a RaExpr,
+        outer: &[&[Field]],
+        whole: bool,
+    ) -> Result<Node<'a>, EvalError> {
+        let input = |b: &mut Self, input: &'a RaExpr, whole: bool| {
+            b.node(input, outer, whole).map(Box::new)
+        };
+        Ok(match ra {
+            RaExpr::Table { name, .. } => {
+                let table = self
+                    .db
+                    .table(name)
+                    .ok_or_else(|| EvalError::UnknownTable(name.clone()))?;
+                let keep = table
+                    .schema
+                    .columns
+                    .iter()
+                    .map(|c| whole || self.names.binary_search(&c.name.as_str()).is_ok())
+                    .collect();
+                Node::Scan {
+                    ra,
+                    table,
+                    fields: fields_of(ra, self.db)?,
+                    keep,
+                }
+            }
+            RaExpr::Values { columns, rows } => Node::Values {
+                fields: columns.iter().map(Field::new).collect(),
+                rows,
+            },
+            RaExpr::Select { input: i, pred } => {
+                let input = input(self, i, whole)?;
+                let pred = self.scalar(pred, &within(input.fields(), outer));
+                Node::Select { input, pred }
+            }
+            RaExpr::Project { input: i, items } => {
+                let input = input(self, i, false)?;
+                let shapes = within(input.fields(), outer);
+                let items = items
+                    .iter()
+                    .map(|i| self.scalar(&i.expr, &shapes))
+                    .collect();
+                Node::Project {
+                    fields: ra_fields(ra),
+                    input,
+                    items,
+                }
+            }
+            RaExpr::Join {
+                left,
+                right,
+                pred,
+                kind,
+            } => {
+                let (left, right) = (input(self, left, whole)?, input(self, right, whole)?);
+                let mut fields = left.fields().to_vec();
+                fields.extend_from_slice(right.fields());
+                let pred = self.scalar(pred, &within(&fields, outer));
+                Node::Join {
+                    fields,
+                    left,
+                    right,
+                    pred,
+                    kind: *kind,
+                }
+            }
+            RaExpr::OuterApply { left, right } => {
+                let left = input(self, left, whole)?;
+                let inner = within(left.fields(), outer);
+                let probe = Probe::plan(right, self.db, &inner, self.params);
+                let right = self.node(right, &inner, whole)?;
+                let mut fields = left.fields().to_vec();
+                fields.extend_from_slice(right.fields());
+                Node::Apply {
+                    fields,
+                    left,
+                    right: Box::new(right),
+                    probe,
+                }
+            }
+            RaExpr::Sort { input: i, keys } => {
+                let input = input(self, i, whole)?;
+                let shapes = within(input.fields(), outer);
+                let keys = keys
+                    .iter()
+                    .map(|k| (self.scalar(&k.expr, &shapes), k.order))
+                    .collect();
+                Node::Sort { input, keys }
+            }
+            RaExpr::Dedup { input: i } => Node::Dedup {
+                input: input(self, i, true)?,
+            },
+            RaExpr::Limit { input: i, count } => Node::Limit {
+                input: input(self, i, whole)?,
+                count: *count as usize,
+            },
+            RaExpr::Aggregate {
+                input: i,
+                group_by,
+                aggs,
+            } => {
+                let input = input(self, i, false)?;
+                let shapes = within(input.fields(), outer);
+                let group_by = group_by
+                    .iter()
+                    .map(|g| self.scalar(&g.expr, &shapes))
+                    .collect();
+                let aggs = aggs
+                    .iter()
+                    .map(|a| (a.func, self.scalar(&a.arg, &shapes)))
+                    .collect();
+                Node::Aggregate {
+                    fields: ra_fields(ra),
+                    input,
+                    group_by,
+                    aggs,
+                }
+            }
+            RaExpr::Aliased { input: i, alias } => {
+                let input = input(self, i, whole)?;
+                let fields = input
+                    .fields()
+                    .iter()
+                    .map(|f| Field::qualified(alias.clone(), f.name.clone()))
+                    .collect();
+                Node::Alias { fields, input }
+            }
+        })
+    }
+}
+
+/// Output fields of a π or γ, which name their own columns.
+fn ra_fields(ra: &RaExpr) -> Vec<Field> {
+    match ra {
+        RaExpr::Project { items, .. } => {
+            items.iter().map(|i| Field::new(i.alias.clone())).collect()
+        }
+        RaExpr::Aggregate { group_by, aggs, .. } => group_by
+            .iter()
+            .map(|g| Field::new(g.alias.clone()))
+            .chain(aggs.iter().map(|a| Field::new(a.alias.clone())))
+            .collect(),
+        _ => unreachable!("only π and γ name their columns"),
+    }
+}
+
+/// One execution's bound subqueries, keyed by node: the [`FirstRow`] hook
+/// of its scalars. A subquery that failed to bind raises when it runs.
+struct Exec<'a> {
+    subplans: HashMap<*const RaExpr, Result<Node<'a>, EvalError>>,
+}
+
+impl FirstRow for Exec<'_> {
+    fn first_row(&self, q: &RaExpr, scope: Option<&Scope<'_>>) -> Result<Option<Row>, EvalError> {
+        let node = self
+            .subplans
+            .get(&(q as *const RaExpr))
+            .expect("subqueries are bound with their plan")
+            .as_ref()
+            .map_err(Clone::clone)?;
+        build(
+            node,
+            Ctx {
+                exec: self,
+                outer: scope,
+                probe: None,
+            },
+        )
+        .next()
+    }
+}
+
+/// What every operator evaluates against: the execution (for subqueries),
+/// the scope of the enclosing query's current row (for correlated
+/// subqueries and `OUTER APPLY` inner sides), and the table an `OUTER
+/// APPLY` inner side reads through a [`BucketScan`].
+#[derive(Clone, Copy)]
+struct Ctx<'a> {
+    exec: &'a Exec<'a>,
     outer: Option<&'a Scope<'a>>,
     probe: Option<&'a Probe<'a>>,
 }
 
-impl<'a> Ctx<'a> {
-    /// Evaluate `e` on `row`, laid out as `fields`, inside the outer scope.
-    fn eval(&self, e: &Scalar, fields: &[Field], row: &[Value]) -> Result<Value, EvalError> {
+impl Ctx<'_> {
+    /// Is `e` TRUE on `row`, laid out as `fields`, inside the outer scope?
+    fn test(&self, e: &Bound<'_>, fields: &[Field], row: &[Value]) -> Result<bool, EvalError> {
         let scope = Scope {
             fields,
             row,
             parent: self.outer,
         };
-        eval_scalar(e, self.db, self.params, Some(&scope))
+        Ok(e.eval(Some(&scope), self.exec)?.is_true())
+    }
+
+    /// The value of `e` on `row`, laid out as `fields`, inside the outer
+    /// scope.
+    fn value(&self, e: &Bound<'_>, fields: &[Field], row: &[Value]) -> Result<Value, EvalError> {
+        let scope = Scope {
+            fields,
+            row,
+            parent: self.outer,
+        };
+        Ok(e.eval(Some(&scope), self.exec)?.into_owned())
     }
 }
 
-/// One operator in the pipeline: exposes its output schema and yields
-/// rows one at a time.
+/// One operator in the pipeline: yields rows one at a time.
 trait Op {
-    fn fields(&self) -> &[Field];
     fn next(&mut self) -> Result<Option<Row>, EvalError>;
 }
 
-fn build<'a>(ra: &'a RaExpr, ctx: Ctx<'a>) -> Result<Box<dyn Op + 'a>, EvalError> {
-    Ok(match ra {
-        RaExpr::Table { .. } if ctx.probe.is_some_and(|p| std::ptr::eq(p.scan, ra)) => {
+fn build<'a>(node: &'a Node<'a>, ctx: Ctx<'a>) -> Box<dyn Op + 'a> {
+    match node {
+        Node::Scan { ra, keep, .. } if ctx.probe.is_some_and(|p| std::ptr::eq(p.scan, *ra)) => {
             Box::new(BucketScan {
                 probe: ctx.probe.expect("matched probe"),
+                keep,
                 hits: None,
                 ctx,
             })
         }
-        RaExpr::Table { name, .. } => {
-            let t = ctx
-                .db
-                .table(name)
-                .ok_or_else(|| EvalError::UnknownTable(name.clone()))?;
-            Box::new(SeqScan {
-                fields: fields_of(ra, ctx.db)?,
-                scan: t.scan(),
-            })
-        }
-        RaExpr::Values { columns, rows } => Box::new(ValuesScan {
-            fields: columns.iter().map(Field::new).collect(),
-            rows: rows.iter(),
+        Node::Scan { table, keep, .. } => Box::new(SeqScan {
+            scan: table.scan_columns(Cow::Borrowed(keep)),
         }),
-        RaExpr::Select { input, pred } => Box::new(Filter {
-            input: build(input, ctx)?,
+        Node::Values { rows, .. } => Box::new(ValuesScan { rows: rows.iter() }),
+        Node::Select { input, pred } => Box::new(Filter {
+            input: build(input, ctx),
+            fields: input.fields(),
             pred,
             ctx,
         }),
-        RaExpr::Project { input, items } => Box::new(Project {
-            input: build(input, ctx)?,
+        Node::Project { input, items, .. } => Box::new(Project {
+            input: build(input, ctx),
+            fields: input.fields(),
             items,
-            fields: OnceCell::new(),
             ctx,
         }),
-        RaExpr::Join {
+        Node::Join {
+            fields,
             left,
             right,
             pred,
             kind,
-        } => {
-            let (left, right) = (build(left, ctx)?, build(right, ctx)?);
-            let mut fields = left.fields().to_vec();
-            fields.extend_from_slice(right.fields());
-            Box::new(Join {
-                left,
-                right,
-                pred,
-                kind: *kind,
-                fields,
-                built: None,
-                out: VecDeque::new(),
-                ctx,
-            })
-        }
-        RaExpr::OuterApply { left, right } => {
-            let left = build(left, ctx)?;
-            let right_fields = fields_of(right, ctx.db)?;
-            let mut fields = left.fields().to_vec();
-            fields.extend(right_fields);
-            Box::new(Apply {
-                left,
-                // A ρ on top of the inner side only renames, and `fields`
-                // already holds its names: per outer row, run what it wraps.
-                right: match &**right {
-                    RaExpr::Aliased { input, .. } => input,
-                    other => other,
-                },
-                probe: Probe::plan(right, ctx.db),
-                fields,
-                out: VecDeque::new(),
-                ctx,
-            })
-        }
-        RaExpr::Sort { input, keys } => Box::new(Sort {
-            input: build(input, ctx)?,
+        } => Box::new(Join {
+            left: build(left, ctx),
+            right: build(right, ctx),
+            pred,
+            kind: *kind,
+            fields,
+            built: None,
+            out: VecDeque::new(),
+            ctx,
+        }),
+        Node::Apply {
+            fields,
+            left,
+            right,
+            probe,
+        } => Box::new(Apply {
+            left: build(left, ctx),
+            left_fields: left.fields(),
+            right,
+            probe: probe.as_ref(),
+            width: fields.len(),
+            out: VecDeque::new(),
+            ctx,
+        }),
+        Node::Sort { input, keys } => Box::new(Sort {
+            input: build(input, ctx),
+            fields: input.fields(),
             keys,
             buf: None,
             ctx,
         }),
-        RaExpr::Dedup { input } => Box::new(Dedup {
-            input: build(input, ctx)?,
+        Node::Dedup { input } => Box::new(Dedup {
+            input: build(input, ctx),
             groups: Groups::default(),
             seen: Vec::new(),
         }),
-        RaExpr::Limit { input, count } => Box::new(Limit {
-            input: build(input, ctx)?,
-            remaining: *count as usize,
+        Node::Limit { input, count } => Box::new(Limit {
+            input: build(input, ctx),
+            remaining: *count,
         }),
-        RaExpr::Aggregate {
+        Node::Aggregate {
             input,
             group_by,
             aggs,
-        } => {
-            let mut fields: Vec<Field> = group_by
-                .iter()
-                .map(|g| Field::new(g.alias.clone()))
-                .collect();
-            fields.extend(aggs.iter().map(|a| Field::new(a.alias.clone())));
-            Box::new(Aggregate {
-                input: build(input, ctx)?,
-                group_by,
-                aggs,
-                fields,
-                out: None,
-                ctx,
-            })
-        }
-        RaExpr::Aliased { input, alias } => Box::new(Alias {
-            input: build(input, ctx)?,
-            alias,
-            fields: OnceCell::new(),
+            ..
+        } => Box::new(Aggregate {
+            input: build(input, ctx),
+            fields: input.fields(),
+            group_by,
+            aggs,
+            out: None,
+            ctx,
         }),
-    })
+        // ρ only renames, and its node holds the new names.
+        Node::Alias { input, .. } => build(input, ctx),
+    }
 }
 
 /// The conjuncts of a predicate, left to right.
@@ -281,17 +622,12 @@ fn outer_only(e: &Scalar, inner: &[Field]) -> bool {
 }
 
 /// Base-table scan in insertion order (one leaf page resident at a time
-/// for paged tables).
+/// for paged tables), reading only the columns its node keeps.
 struct SeqScan<'a> {
-    fields: Vec<Field>,
     scan: TableScan<'a>,
 }
 
 impl Op for SeqScan<'_> {
-    fn fields(&self) -> &[Field] {
-        &self.fields
-    }
-
     fn next(&mut self) -> Result<Option<Row>, EvalError> {
         Ok(self.scan.next())
     }
@@ -299,15 +635,10 @@ impl Op for SeqScan<'_> {
 
 /// `VALUES` — literal rows in order.
 struct ValuesScan<'a> {
-    fields: Vec<Field>,
-    rows: std::slice::Iter<'a, Vec<algebra::scalar::Lit>>,
+    rows: std::slice::Iter<'a, Vec<Lit>>,
 }
 
 impl Op for ValuesScan<'_> {
-    fn fields(&self) -> &[Field] {
-        &self.fields
-    }
-
     fn next(&mut self) -> Result<Option<Row>, EvalError> {
         Ok(self
             .rows
@@ -319,22 +650,15 @@ impl Op for ValuesScan<'_> {
 /// σ — keep rows whose predicate is TRUE (not FALSE, not NULL).
 struct Filter<'a> {
     input: Box<dyn Op + 'a>,
-    pred: &'a Scalar,
+    fields: &'a [Field],
+    pred: &'a Bound<'a>,
     ctx: Ctx<'a>,
 }
 
 impl Op for Filter<'_> {
-    fn fields(&self) -> &[Field] {
-        self.input.fields()
-    }
-
     fn next(&mut self) -> Result<Option<Row>, EvalError> {
         while let Some(row) = self.input.next()? {
-            if self
-                .ctx
-                .eval(self.pred, self.input.fields(), &row)?
-                .is_true()
-            {
+            if self.ctx.test(self.pred, self.fields, &row)? {
                 return Ok(Some(row));
             }
         }
@@ -345,30 +669,24 @@ impl Op for Filter<'_> {
 /// π — order-preserving, duplicate-keeping projection.
 struct Project<'a> {
     input: Box<dyn Op + 'a>,
-    items: &'a [ProjItem],
-    /// Built on first use, like [`Alias`]'s.
-    fields: OnceCell<Vec<Field>>,
+    fields: &'a [Field],
+    items: &'a [Bound<'a>],
     ctx: Ctx<'a>,
 }
 
 impl Op for Project<'_> {
-    fn fields(&self) -> &[Field] {
-        self.fields.get_or_init(|| {
-            self.items
-                .iter()
-                .map(|i| Field::new(i.alias.clone()))
-                .collect()
-        })
-    }
-
     fn next(&mut self) -> Result<Option<Row>, EvalError> {
         let Some(row) = self.input.next()? else {
             return Ok(None);
         };
-        let fields = self.input.fields();
+        let scope = Scope {
+            fields: self.fields,
+            row: &row,
+            parent: self.ctx.outer,
+        };
         self.items
             .iter()
-            .map(|i| self.ctx.eval(&i.expr, fields, &row))
+            .map(|i| Ok(i.eval(Some(&scope), self.ctx.exec)?.into_owned()))
             .collect::<Result<Row, _>>()
             .map(Some)
     }
@@ -379,19 +697,15 @@ impl Op for Project<'_> {
 struct Join<'a> {
     left: Box<dyn Op + 'a>,
     right: Box<dyn Op + 'a>,
-    pred: &'a Scalar,
+    pred: &'a Bound<'a>,
     kind: JoinKind,
-    fields: Vec<Field>,
+    fields: &'a [Field],
     built: Option<Vec<Row>>,
     out: VecDeque<Row>,
     ctx: Ctx<'a>,
 }
 
 impl Op for Join<'_> {
-    fn fields(&self) -> &[Field] {
-        &self.fields
-    }
-
     fn next(&mut self) -> Result<Option<Row>, EvalError> {
         loop {
             if let Some(row) = self.out.pop_front() {
@@ -410,7 +724,7 @@ impl Op for Join<'_> {
             let mut matched = false;
             for rrow in self.built.as_ref().expect("right side drained") {
                 let combined = joined(&lrow, rrow.iter().cloned(), self.fields.len());
-                if self.ctx.eval(self.pred, &self.fields, &combined)?.is_true() {
+                if self.ctx.test(self.pred, self.fields, &combined)? {
                     matched = true;
                     self.out.push_back(combined);
                 }
@@ -441,23 +755,21 @@ fn extended(mut left: Row, right: Option<Row>, width: usize) -> Row {
     left
 }
 
-/// `OUTER APPLY` — per outer row, the inner side run as a fresh pipeline
-/// under that row's scope (reading its [`Probe`] table, if any, through a
-/// [`BucketScan`]), or one NULL-padded row when it yields none.
+/// `OUTER APPLY` — per outer row, the inner side's operators built over its
+/// bound nodes and run under that row's scope (reading its [`Probe`]
+/// table, if any, through a [`BucketScan`]), or one NULL-padded row when
+/// it yields none.
 struct Apply<'a> {
     left: Box<dyn Op + 'a>,
-    right: &'a RaExpr,
-    probe: Option<Probe<'a>>,
-    fields: Vec<Field>,
+    left_fields: &'a [Field],
+    right: &'a Node<'a>,
+    probe: Option<&'a Probe<'a>>,
+    width: usize,
     out: VecDeque<Row>,
     ctx: Ctx<'a>,
 }
 
 impl Op for Apply<'_> {
-    fn fields(&self) -> &[Field] {
-        &self.fields
-    }
-
     fn next(&mut self) -> Result<Option<Row>, EvalError> {
         loop {
             if let Some(row) = self.out.pop_front() {
@@ -467,7 +779,7 @@ impl Op for Apply<'_> {
                 return Ok(None);
             };
             let scope = Scope {
-                fields: self.left.fields(),
+                fields: self.left_fields,
                 row: &lrow,
                 parent: self.ctx.outer,
             };
@@ -475,21 +787,20 @@ impl Op for Apply<'_> {
                 self.right,
                 Ctx {
                     outer: Some(&scope),
-                    probe: self.probe.as_ref(),
+                    probe: self.probe,
                     ..self.ctx
                 },
-            )?;
+            );
             // Every inner row but the last joins a copy of the outer row;
             // the last one, or the NULL padding, takes it by move.
-            let width = self.fields.len();
             let mut last = None;
             while let Some(irow) = inner.next()? {
                 if let Some(prev) = last.replace(irow) {
-                    self.out.push_back(joined(&lrow, prev, width));
+                    self.out.push_back(joined(&lrow, prev, self.width));
                 }
             }
             drop(inner);
-            self.out.push_back(extended(lrow, last, width));
+            self.out.push_back(extended(lrow, last, self.width));
         }
     }
 }
@@ -500,18 +811,23 @@ struct Probe<'a> {
     /// The `Table` node the [`BucketScan`] stands in for.
     scan: &'a RaExpr,
     table: &'a Table,
-    /// The table's fields, as the `Select` above it sees them.
-    fields: Vec<Field>,
     col: usize,
-    key: &'a Scalar,
+    /// Bound against the `OUTER APPLY`'s outer row and enclosing scopes.
+    key: Bound<'a>,
     /// The table's rows and their `col` buckets, built on the first pull.
     built: OnceCell<(Vec<Row>, KeyIndex)>,
 }
 
 impl<'a> Probe<'a> {
     /// Find `Select(Table, … col = key …)` at the end of the single-input
-    /// spine of `right`; `None` leaves every table to a full scan.
-    fn plan(right: &'a RaExpr, db: &'a Database) -> Option<Probe<'a>> {
+    /// spine of `right`, binding `key` against `outer`, the shapes the
+    /// inner side runs under; `None` leaves every table to a full scan.
+    fn plan(
+        right: &'a RaExpr,
+        db: &'a Database,
+        outer: &[&[Field]],
+        params: &'a [Value],
+    ) -> Option<Probe<'a>> {
         let mut ra = right;
         let (scan, name, pred) = loop {
             ra = match ra {
@@ -542,16 +858,17 @@ impl<'a> Probe<'a> {
         Some(Probe {
             scan,
             table,
-            fields,
             col,
-            key,
+            key: bind(key, outer, params),
             built: OnceCell::new(),
         })
     }
 
-    fn built(&self) -> &(Vec<Row>, KeyIndex) {
+    /// The table's rows, read with the `keep` set of the scan it replaces,
+    /// and their buckets.
+    fn built(&self, keep: &[bool]) -> &(Vec<Row>, KeyIndex) {
         self.built.get_or_init(|| {
-            let rows: Vec<Row> = self.table.scan().collect();
+            let rows: Vec<Row> = self.table.scan_columns(Cow::Borrowed(keep)).collect();
             let index = key_index(rows.iter().map(|r| &r[self.col]));
             (rows, index)
         })
@@ -563,21 +880,18 @@ impl<'a> Probe<'a> {
 /// which the `Select` above re-checks with its full predicate.
 struct BucketScan<'a> {
     probe: &'a Probe<'a>,
+    keep: &'a [bool],
     hits: Option<std::slice::Iter<'a, usize>>,
     ctx: Ctx<'a>,
 }
 
 impl Op for BucketScan<'_> {
-    fn fields(&self) -> &[Field] {
-        &self.probe.fields
-    }
-
     fn next(&mut self) -> Result<Option<Row>, EvalError> {
-        let (rows, index) = self.probe.built();
+        let (rows, index) = self.probe.built(self.keep);
         if self.hits.is_none() {
             // The key reads no column of the table, so the outer scope
             // alone evaluates it.
-            let key = eval_scalar(self.probe.key, self.ctx.db, self.ctx.params, self.ctx.outer)?;
+            let key = self.probe.key.eval(self.ctx.outer, self.ctx.exec)?;
             self.hits = Some(
                 key_hash(&key)
                     .and_then(|h| index.get(&h))
@@ -594,33 +908,29 @@ impl Op for BucketScan<'_> {
 /// NULLs-first comparator, stable.
 struct Sort<'a> {
     input: Box<dyn Op + 'a>,
-    keys: &'a [SortKey],
+    fields: &'a [Field],
+    keys: &'a [(Bound<'a>, SortOrder)],
     buf: Option<std::vec::IntoIter<Row>>,
     ctx: Ctx<'a>,
 }
 
 impl Op for Sort<'_> {
-    fn fields(&self) -> &[Field] {
-        self.input.fields()
-    }
-
     fn next(&mut self) -> Result<Option<Row>, EvalError> {
         if self.buf.is_none() {
             let mut decorated: Vec<(Vec<Value>, Row)> = Vec::new();
             while let Some(row) = self.input.next()? {
-                let fields = self.input.fields();
                 let ks = self
                     .keys
                     .iter()
-                    .map(|k| self.ctx.eval(&k.expr, fields, &row))
+                    .map(|(k, _)| self.ctx.value(k, self.fields, &row))
                     .collect::<Result<Vec<_>, _>>()?;
                 decorated.push((ks, row));
             }
             let keys = self.keys;
             decorated.sort_by(|(a, _), (b, _)| {
-                for (i, k) in keys.iter().enumerate() {
+                for (i, (_, order)) in keys.iter().enumerate() {
                     let ord = a[i].sort_cmp(&b[i]);
-                    let ord = match k.order {
+                    let ord = match order {
                         SortOrder::Asc => ord,
                         SortOrder::Desc => ord.reverse(),
                     };
@@ -651,10 +961,6 @@ struct Dedup<'a> {
 }
 
 impl Op for Dedup<'_> {
-    fn fields(&self) -> &[Field] {
-        self.input.fields()
-    }
-
     fn next(&mut self) -> Result<Option<Row>, EvalError> {
         while let Some(row) = self.input.next()? {
             let seen = &self.seen;
@@ -675,10 +981,6 @@ struct Limit<'a> {
 }
 
 impl Op for Limit<'_> {
-    fn fields(&self) -> &[Field] {
-        self.input.fields()
-    }
-
     fn next(&mut self) -> Result<Option<Row>, EvalError> {
         if self.remaining == 0 {
             return Ok(None);
@@ -694,27 +996,35 @@ impl Op for Limit<'_> {
 }
 
 /// γ — streaming aggregation: one pass over the input feeding
-/// accumulators. Without `GROUP BY` there is one accumulator set and no
-/// key; with it, one set per group, emitted in first-occurrence order.
-/// Memory is O(groups), not O(rows).
+/// accumulators, which read each argument by reference. Without `GROUP BY`
+/// there is one accumulator set and no key; with it, one set per group,
+/// emitted in first-occurrence order. Memory is O(groups), not O(rows).
 struct Aggregate<'a> {
     input: Box<dyn Op + 'a>,
-    group_by: &'a [ProjItem],
-    aggs: &'a [AggCall],
-    fields: Vec<Field>,
+    fields: &'a [Field],
+    group_by: &'a [Bound<'a>],
+    aggs: &'a [(AggFunc, Bound<'a>)],
     out: Option<std::vec::IntoIter<Row>>,
     ctx: Ctx<'a>,
 }
 
 impl Aggregate<'_> {
     fn accumulators(&self) -> Vec<Accumulator> {
-        self.aggs.iter().map(|a| Accumulator::new(a.func)).collect()
+        self.aggs
+            .iter()
+            .map(|(f, _)| Accumulator::new(*f))
+            .collect()
     }
 
     /// Feed one input row to an accumulator set.
     fn feed(&self, accs: &mut [Accumulator], row: &[Value]) -> Result<(), EvalError> {
-        for (acc, a) in accs.iter_mut().zip(self.aggs) {
-            acc.feed(&self.ctx.eval(&a.arg, self.input.fields(), row)?)?;
+        let scope = Scope {
+            fields: self.fields,
+            row,
+            parent: self.ctx.outer,
+        };
+        for (acc, (_, arg)) in accs.iter_mut().zip(self.aggs) {
+            acc.feed(&*arg.eval(Some(&scope), self.ctx.exec)?)?;
         }
         Ok(())
     }
@@ -732,11 +1042,10 @@ impl Aggregate<'_> {
         let mut groups = Groups::default();
         let mut state: Vec<(Row, Vec<Accumulator>)> = Vec::new();
         while let Some(row) = self.input.next()? {
-            let fields = self.input.fields();
             let keys = self
                 .group_by
                 .iter()
-                .map(|g| self.ctx.eval(&g.expr, fields, &row))
+                .map(|g| self.ctx.value(g, self.fields, &row))
                 .collect::<Result<Row, _>>()?;
             let id = match groups.find(&keys, |i| &state[i].0) {
                 Ok(id) => id,
@@ -758,40 +1067,11 @@ impl Aggregate<'_> {
 }
 
 impl Op for Aggregate<'_> {
-    fn fields(&self) -> &[Field] {
-        &self.fields
-    }
-
     fn next(&mut self) -> Result<Option<Row>, EvalError> {
         if self.out.is_none() {
             self.out = Some(self.drain()?.into_iter());
         }
         Ok(self.out.as_mut().expect("aggregate output").next())
-    }
-}
-
-/// ρ — rename: requalify fields, pass rows through.
-struct Alias<'a> {
-    input: Box<dyn Op + 'a>,
-    alias: &'a str,
-    /// Built on first use: the inner side of an `OUTER APPLY`, rebuilt per
-    /// outer row, is usually an alias nobody above asks for its fields.
-    fields: OnceCell<Vec<Field>>,
-}
-
-impl Op for Alias<'_> {
-    fn fields(&self) -> &[Field] {
-        self.fields.get_or_init(|| {
-            self.input
-                .fields()
-                .iter()
-                .map(|f| Field::qualified(self.alias, f.name.clone()))
-                .collect()
-        })
-    }
-
-    fn next(&mut self) -> Result<Option<Row>, EvalError> {
-        self.input.next()
     }
 }
 
@@ -925,7 +1205,7 @@ mod tests {
             |inner: &str| format!("SELECT * FROM outer_t LEFT JOIN LATERAL ({inner}) AS d ON TRUE");
         let probed = |sql: &str| {
             let q = parse_sql(sql).unwrap();
-            Probe::plan(apply_inner(&q).expect("an apply"), &db).is_some()
+            Probe::plan(apply_inner(&q).expect("an apply"), &db, &[], &[]).is_some()
         };
         assert!(probed(STAR_APPLY));
         for inner in [

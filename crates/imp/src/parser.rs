@@ -34,6 +34,15 @@ impl From<LexError> for ParseError {
     }
 }
 
+/// How deeply a program may nest: expressions (each parenthesis, call
+/// argument list, unary operator and `.field`/`.method()` suffix) and
+/// statements (each statement inside a block or branch body) count one
+/// level each. Every later pass — normalization, analysis, extraction,
+/// interpretation — recurses over the tree, so a program at this depth
+/// runs through all of them on a 2 MiB thread stack; a deeper one is a
+/// [`ParseError`] instead of a stack overflow.
+pub const MAX_NESTING: usize = 96;
+
 /// Parse a full program (a sequence of `fn` definitions).
 pub fn parse_program(src: &str) -> Result<Program, ParseError> {
     let tokens = lex(src)?;
@@ -41,6 +50,7 @@ pub fn parse_program(src: &str) -> Result<Program, ParseError> {
         tokens,
         pos: 0,
         next_id: 0,
+        depth: 0,
     };
     let mut functions = Vec::new();
     while !p.at(&TokenKind::Eof) {
@@ -53,6 +63,8 @@ struct Parser {
     tokens: Vec<Token>,
     pos: usize,
     next_id: u32,
+    /// Nesting levels entered and not yet left (see [`MAX_NESTING`]).
+    depth: usize,
 }
 
 impl Parser {
@@ -118,6 +130,28 @@ impl Parser {
         }
     }
 
+    /// Enter one nesting level, failing past [`MAX_NESTING`].
+    fn enter(&mut self) -> Result<(), ParseError> {
+        if self.depth == MAX_NESTING {
+            return Err(self.err(format!(
+                "nesting deeper than the limit of {MAX_NESTING} levels"
+            )));
+        }
+        self.depth += 1;
+        Ok(())
+    }
+
+    /// Run `f` one nesting level deeper.
+    fn nested<T>(
+        &mut self,
+        f: impl FnOnce(&mut Self) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
+        self.enter()?;
+        let out = f(self)?;
+        self.depth -= 1;
+        Ok(out)
+    }
+
     fn fresh_id(&mut self) -> StmtId {
         let id = StmtId(self.next_id);
         self.next_id += 1;
@@ -165,6 +199,10 @@ impl Parser {
     }
 
     fn stmt(&mut self) -> Result<Stmt, ParseError> {
+        self.nested(Self::stmt_inner)
+    }
+
+    fn stmt_inner(&mut self) -> Result<Stmt, ParseError> {
         let start = self.span();
         let id = self.fresh_id();
         let kind = match self.peek().clone() {
@@ -286,7 +324,7 @@ impl Parser {
 
     // Expression grammar, lowest precedence first.
     fn expr(&mut self) -> Result<Expr, ParseError> {
-        self.ternary()
+        self.nested(Self::ternary)
     }
 
     fn ternary(&mut self) -> Result<Expr, ParseError> {
@@ -389,12 +427,12 @@ impl Parser {
         match self.peek() {
             TokenKind::Minus => {
                 self.bump();
-                let e = self.unary()?;
+                let e = self.nested(Self::unary)?;
                 Ok(Expr::Unary(UnaryOp::Neg, Box::new(e)))
             }
             TokenKind::Bang => {
                 self.bump();
-                let e = self.unary()?;
+                let e = self.nested(Self::unary)?;
                 Ok(Expr::Unary(UnaryOp::Not, Box::new(e)))
             }
             _ => self.postfix(),
@@ -403,24 +441,25 @@ impl Parser {
 
     fn postfix(&mut self) -> Result<Expr, ParseError> {
         let mut e = self.primary()?;
-        loop {
-            if self.at(&TokenKind::Dot) {
-                self.bump();
-                let name = self.ident()?;
-                if self.at(&TokenKind::LParen) {
-                    let args = self.call_args()?;
-                    e = Expr::MethodCall {
-                        recv: Box::new(e),
-                        name,
-                        args,
-                    };
-                } else {
-                    e = Expr::Field(Box::new(e), name);
+        // Each suffix nests the expression so far one level deeper. (An
+        // error ends the parse, so no path but this one restores `depth`.)
+        let depth = self.depth;
+        while self.at(&TokenKind::Dot) {
+            self.enter()?;
+            self.bump();
+            let name = self.ident()?;
+            e = if self.at(&TokenKind::LParen) {
+                let args = self.call_args()?;
+                Expr::MethodCall {
+                    recv: Box::new(e),
+                    name,
+                    args,
                 }
             } else {
-                break;
-            }
+                Expr::Field(Box::new(e), name)
+            };
         }
+        self.depth = depth;
         Ok(e)
     }
 

@@ -148,13 +148,15 @@ impl<'a> Interp<'a> {
                     iterable,
                     body,
                 } => {
-                    let coll = self.eval(iterable, env)?;
-                    let elems = coll
-                        .as_elements()
-                        .ok_or_else(|| RtError::Type(format!("cannot iterate over {coll}")))?
-                        .to_vec();
-                    'iters: for el in elems {
-                        env.insert(*var, el);
+                    // The loop holds its own reference to the elements, so
+                    // a body that changes the variable copies it and the
+                    // loop still walks the list as it was.
+                    let elems = match self.eval(iterable, env)? {
+                        RtValue::List(items) | RtValue::Set(items) => items,
+                        other => return Err(RtError::Type(format!("cannot iterate over {other}"))),
+                    };
+                    'iters: for el in elems.iter() {
+                        env.insert(*var, el.clone());
                         match self.exec_block(body, env)? {
                             Flow::Normal | Flow::Continue => {}
                             Flow::Break => break 'iters,
@@ -199,7 +201,7 @@ impl<'a> Interp<'a> {
         // struct docs); everything else concatenates into one line.
         if vals.len() == 1 {
             if let RtValue::List(items) | RtValue::Set(items) = &vals[0] {
-                for it in items {
+                for it in items.iter() {
                     self.output.push(it.render());
                 }
                 return;
@@ -254,7 +256,20 @@ impl<'a> Interp<'a> {
                 }
             }
             Expr::Field(o, name) => {
-                let v = self.eval(o, env)?;
+                // A variable's field is read in place, without copying the
+                // variable's row.
+                let held;
+                let v = match &**o {
+                    Expr::Var(var) => {
+                        self.tick()?;
+                        env.get(var)
+                            .ok_or_else(|| RtError::Undefined(format!("variable {var}")))?
+                    }
+                    other => {
+                        held = self.eval(other, env)?;
+                        &held
+                    }
+                };
                 v.field(name)
                     .ok_or_else(|| RtError::Type(format!("no field {name} on {v}")))
             }
@@ -315,7 +330,7 @@ impl<'a> Interp<'a> {
             return Ok(RtValue::bool(if op == BinaryOp::Eq { eq } else { !eq }));
         }
         let (a, b) = match (lv.as_scalar(), rv.as_scalar()) {
-            (Some(a), Some(b)) => (a.clone(), b.clone()),
+            (Some(a), Some(b)) => (a, b),
             _ => {
                 return Err(RtError::Type(format!(
                     "operator {} needs scalars, got {lv} and {rv}",
@@ -350,8 +365,8 @@ impl<'a> Interp<'a> {
         match name {
             "executeQuery" => {
                 let rel = self.run_query(args, env)?;
-                let fields = Rc::new(rel.fields.clone());
-                Ok(RtValue::List(
+                let fields = Rc::new(rel.fields);
+                Ok(RtValue::List(Rc::new(
                     rel.rows
                         .into_iter()
                         .map(|values| RtValue::Row {
@@ -359,7 +374,7 @@ impl<'a> Interp<'a> {
                             values,
                         })
                         .collect(),
-                ))
+                )))
             }
             "executeScalar" => {
                 let rel = self.run_query(args, env)?;
@@ -406,7 +421,7 @@ impl<'a> Interp<'a> {
                 self.conn.stats.sim_us +=
                     self.conn.cost.latency_us + upload as f64 * self.conn.cost.per_byte_us;
                 let mut out = Vec::with_capacity(params.len());
-                for p in &params {
+                for p in params.iter() {
                     let key = p.as_scalar().cloned().ok_or_else(|| {
                         RtError::Type("executeBatch parameters must be scalars".into())
                     })?;
@@ -423,7 +438,7 @@ impl<'a> Interp<'a> {
                         + self.conn.cost.per_row_us;
                     out.push(RtValue::Scalar(v));
                 }
-                Ok(RtValue::List(out))
+                Ok(RtValue::List(Rc::new(out)))
             }
             "executeUpdate" => {
                 let mut vals = Vec::new();
@@ -536,8 +551,8 @@ impl<'a> Interp<'a> {
                 }
                 Ok(RtValue::null())
             }
-            "list" => Ok(RtValue::List(Vec::new())),
-            "set" => Ok(RtValue::Set(Vec::new())),
+            "list" => Ok(RtValue::List(Rc::default())),
+            "set" => Ok(RtValue::Set(Rc::default())),
             "pair" => {
                 let a = self.eval(&args[0], env)?;
                 let b = self.eval(&args[1], env)?;
@@ -613,23 +628,27 @@ impl<'a> Interp<'a> {
             let coll = env
                 .get_mut(&var)
                 .ok_or_else(|| RtError::Undefined(format!("variable {var}")))?;
+            // `Rc::make_mut` copies the elements when a loop or another
+            // variable still shares them.
             match (coll, name) {
                 (RtValue::List(items), "add" | "append" | "insert") => {
-                    items.push(arg_vals.remove(0));
+                    Rc::make_mut(items).push(arg_vals.remove(0));
                 }
                 (RtValue::Set(items), "add" | "append" | "insert") => {
                     let v = arg_vals.remove(0);
                     if !items.iter().any(|e| loose_eq(e, &v)) {
-                        items.push(v);
+                        Rc::make_mut(items).push(v);
                     }
                 }
                 (RtValue::List(items) | RtValue::Set(items), "remove") => {
                     let v = arg_vals.remove(0);
-                    items.retain(|e| !loose_eq(e, &v));
+                    Rc::make_mut(items).retain(|e| !loose_eq(e, &v));
                 }
-                (RtValue::List(items) | RtValue::Set(items), "clear") => items.clear(),
+                (RtValue::List(items) | RtValue::Set(items), "clear") => *items = Rc::default(),
                 (RtValue::List(items), "addAll") => match arg_vals.remove(0) {
-                    RtValue::List(more) | RtValue::Set(more) => items.extend(more),
+                    RtValue::List(more) | RtValue::Set(more) => {
+                        Rc::make_mut(items).extend(Rc::unwrap_or_clone(more))
+                    }
                     other => {
                         return Err(RtError::Type(format!(
                             "addAll needs a collection, got {other}"
@@ -854,6 +873,57 @@ mod tests {
         "#;
         let (v, _, _) = run_fn(src, gen_emp(100, 4), "hasBig");
         assert_eq!(v, RtValue::bool(true));
+    }
+
+    /// Lists are shared copy-on-write; loops, aliases and nested
+    /// collections still behave as if every read took a copy.
+    #[test]
+    fn loops_walk_the_list_as_it_was_when_they_began() {
+        let run = |body: &str| {
+            let src =
+                format!("fn f() {{ xs = list(); xs.add(1); xs.add(2); xs.add(3); n = 0; {body} }}");
+            let (v, out, _) = run_fn(&src, dbms::Database::new(), "f");
+            (v, out)
+        };
+        // Appending to the iterated list: three iterations, six elements.
+        let (v, out) = run("for (x in xs) { xs.add(x * 10); n = n + 1; } print(xs); return n;");
+        assert_eq!(v, RtValue::int(3));
+        assert_eq!(out, ["1", "2", "3", "10", "20", "30"]);
+        // Reassigning it: the loop still walks the original three.
+        let (v, out) =
+            run("for (x in xs) { xs = list(); xs.add(x); n = n + x; } print(xs); return n;");
+        assert_eq!(v, RtValue::int(6));
+        assert_eq!(out, ["3"]);
+        // Nested loops over one list, the outer body appending to it: each
+        // inner loop sees the list as its own loop began (3, 4, 5 items).
+        let (v, out) = run(
+            "for (a in xs) { for (b in xs) { n = n + 1; } xs.add(a); } print(xs.size()); return n;",
+        );
+        assert_eq!(v, RtValue::int(12));
+        assert_eq!(out, ["6"]);
+        // An alias and a nested list keep the value they were given.
+        let (v, out) = run("ys = xs; ys.add(9); zs = list(); zs.add(xs); xs.clear(); \
+             print(ys.size(), \" \", zs.get(0).size()); return xs.size();");
+        assert_eq!(v, RtValue::int(0));
+        assert_eq!(out, ["4 3"]);
+    }
+
+    #[test]
+    fn helper_reads_a_row_field_in_place() {
+        let src = r#"
+            fn salaryOf(e) { return e.salary; }
+            fn f() {
+                rows = executeQuery("SELECT * FROM emp WHERE id < 5");
+                t = 0;
+                for (e in rows) { t = t + salaryOf(e); }
+                return t;
+            }
+        "#;
+        let db = gen_emp(20, 4);
+        let (v, _, _) = run_fn(src, db.clone(), "f");
+        let q = algebra::parse::parse_sql("SELECT SUM(salary) AS s FROM emp WHERE id < 5").unwrap();
+        let expected = dbms::eval_query(&q, &db, &[]).unwrap().rows[0][0].clone();
+        assert_eq!(v, RtValue::Scalar(expected));
     }
 
     #[test]

@@ -1,9 +1,17 @@
 //! Runtime values of the `imp` interpreter.
+//!
+//! Lists and sets share their elements behind an `Rc`: reading a
+//! collection variable, passing it to a function, or starting a
+//! `for (e in xs)` loop over it copies a pointer, not the elements. A
+//! mutating method copies the elements first when anything else still
+//! shares them (`Rc::make_mut`), so every holder keeps the value it read —
+//! a loop walks the list as it was when the loop began, even if its body
+//! appends to or reassigns the variable.
 
 use std::fmt;
 use std::rc::Rc;
 
-use dbms::table::Field;
+use dbms::table::{resolve_fields, Field};
 use dbms::Value;
 
 /// A runtime value.
@@ -11,10 +19,11 @@ use dbms::Value;
 pub enum RtValue {
     /// A database scalar (int/float/bool/string/null).
     Scalar(Value),
-    /// An ordered list.
-    List(Vec<RtValue>),
-    /// An ordered set (insertion order, unique elements).
-    Set(Vec<RtValue>),
+    /// An ordered list, shared copy-on-write (see the module docs).
+    List(Rc<Vec<RtValue>>),
+    /// An ordered set (insertion order, unique elements), shared like a
+    /// list.
+    Set(Rc<Vec<RtValue>>),
     /// A row from a query result.
     Row {
         /// Column metadata, shared across rows of one result.
@@ -65,23 +74,18 @@ impl RtValue {
     /// Iterable view (lists and sets).
     pub fn as_elements(&self) -> Option<&[RtValue]> {
         match self {
-            RtValue::List(v) | RtValue::Set(v) => Some(v),
+            RtValue::List(v) | RtValue::Set(v) => Some(v.as_slice()),
             _ => None,
         }
     }
 
-    /// Field access on rows; pairs expose `first`/`second`.
+    /// Field access on rows, read in place (only the value is copied);
+    /// pairs expose `first`/`second`.
     pub fn field(&self, name: &str) -> Option<RtValue> {
         match self {
-            RtValue::Row { fields, values } => {
-                let rel = dbms::Relation {
-                    fields: (**fields).clone(),
-                    rows: vec![],
-                };
-                rel.resolve(None, name)
-                    .ok()
-                    .map(|i| RtValue::Scalar(values[i].clone()))
-            }
+            RtValue::Row { fields, values } => resolve_fields(fields, None, name)
+                .ok()
+                .map(|i| RtValue::Scalar(values[i].clone())),
             RtValue::Pair(a, b) => match name {
                 "first" => Some((**a).clone()),
                 "second" => Some((**b).clone()),
@@ -173,7 +177,7 @@ pub fn loose_eq(a: &RtValue, b: &RtValue) -> bool {
         (RtValue::List(x), RtValue::List(y))
         | (RtValue::Set(x), RtValue::List(y))
         | (RtValue::List(x), RtValue::Set(y)) => {
-            x.len() == y.len() && x.iter().zip(y).all(|(e, f)| loose_eq(e, f))
+            x.len() == y.len() && x.iter().zip(y.iter()).all(|(e, f)| loose_eq(e, f))
         }
         (RtValue::Scalar(a), RtValue::Row { values, .. })
         | (RtValue::Row { values, .. }, RtValue::Scalar(a))
@@ -208,7 +212,7 @@ pub fn loose_eq(a: &RtValue, b: &RtValue) -> bool {
 /// rewrite certification) use to compare relational and imperative sides.
 pub fn relation_to_rt(rel: &dbms::Relation) -> RtValue {
     let fields = Rc::new(rel.fields.clone());
-    RtValue::List(
+    RtValue::List(Rc::new(
         rel.rows
             .iter()
             .map(|r| {
@@ -222,7 +226,7 @@ pub fn relation_to_rt(rel: &dbms::Relation) -> RtValue {
                 }
             })
             .collect(),
-    )
+    ))
 }
 
 /// Compare a query result against an interpreter value: a scalar expects a
@@ -263,11 +267,11 @@ mod tests {
 
     #[test]
     fn loose_eq_ignores_set_order() {
-        let a = RtValue::Set(vec![RtValue::int(1), RtValue::int(2)]);
-        let b = RtValue::Set(vec![RtValue::int(2), RtValue::int(1)]);
+        let a = RtValue::Set(Rc::new(vec![RtValue::int(1), RtValue::int(2)]));
+        let b = RtValue::Set(Rc::new(vec![RtValue::int(2), RtValue::int(1)]));
         assert!(loose_eq(&a, &b));
-        let c = RtValue::List(vec![RtValue::int(1), RtValue::int(2)]);
-        let d = RtValue::List(vec![RtValue::int(2), RtValue::int(1)]);
+        let c = RtValue::List(Rc::new(vec![RtValue::int(1), RtValue::int(2)]));
+        let d = RtValue::List(Rc::new(vec![RtValue::int(2), RtValue::int(1)]));
         assert!(!loose_eq(&c, &d));
     }
 
@@ -294,20 +298,20 @@ mod tests {
         assert!(!relation_matches(&rel, &RtValue::int(8)));
         assert!(relation_matches(
             &rel,
-            &RtValue::List(vec![RtValue::int(7)])
+            &RtValue::List(Rc::new(vec![RtValue::int(7)]))
         ));
         let empty = dbms::Relation {
             fields: vec![Field::new("s")],
             rows: vec![],
         };
         assert!(!relation_matches(&empty, &RtValue::int(0)));
-        assert!(relation_matches(&empty, &RtValue::List(vec![])));
+        assert!(relation_matches(&empty, &RtValue::List(Rc::new(vec![]))));
     }
 
     #[test]
     fn display_forms() {
         assert_eq!(
-            RtValue::List(vec![RtValue::int(1), RtValue::int(2)]).to_string(),
+            RtValue::List(Rc::new(vec![RtValue::int(1), RtValue::int(2)])).to_string(),
             "[1, 2]"
         );
         assert_eq!(RtValue::null().to_string(), "NULL");

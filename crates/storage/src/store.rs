@@ -18,12 +18,12 @@
 //! layer clones whole `Database` values freely (the fuzzer runs the
 //! original and the extracted program against clones), and paged tables in
 //! those clones share this one store read-only. Scans lock per *leaf
-//! page*, not per row — a [`ScanCursor`] buffers one leaf's records at a
-//! time, so concurrent cursors (nested correlated loops) interleave
-//! without deadlock and memory stays bounded by the leaf size, not the
-//! table size.
+//! page*, not per row — a [`ScanCursor`] decodes one leaf's records at a
+//! time, in place on the pinned page, so concurrent cursors (nested
+//! correlated loops) interleave without deadlock and memory stays bounded
+//! by the leaf size, not the table size.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -301,8 +301,8 @@ impl Store {
         };
         if let Some(ncols) = stale {
             let mut stats = StatsBuilder::new(ncols);
-            for item in self.scan(table)? {
-                stats.observe_row(&hash_record(&item?.1));
+            for hashes in self.scan_with(table, |_, record: &[u8]| hash_record(record))? {
+                stats.observe_row(&hashes?);
             }
             let mut inner = self.lock();
             let entry = entry_mut(&mut inner.dir, table)?;
@@ -312,8 +312,18 @@ impl Store {
         self.statistics(table)
     }
 
-    /// Begin an ordered scan of `table` (rowid order = insertion order).
-    pub fn scan(&self, table: &str) -> Result<ScanCursor> {
+    /// Begin an ordered scan of `table` (rowid order = insertion order)
+    /// yielding each record's rowid and a copy of its bytes.
+    pub fn scan(&self, table: &str) -> Result<RecordScan> {
+        fn copy(rowid: u64, record: &[u8]) -> (u64, Vec<u8>) {
+            (rowid, record.to_vec())
+        }
+        self.scan_with(table, copy)
+    }
+
+    /// Begin an ordered scan of `table` that yields what `decode` makes of
+    /// each record, read in place on its pinned leaf page.
+    pub fn scan_with<D: Decode>(&self, table: &str, decode: D) -> Result<ScanCursor<D>> {
         let mut inner = self.lock();
         let inner = &mut *inner;
         let root = inner
@@ -325,8 +335,8 @@ impl Store {
         Ok(ScanCursor {
             store: self.clone(),
             next_leaf: Some(leaf),
-            buf: Vec::new(),
-            idx: 0,
+            buf: VecDeque::new(),
+            decode,
         })
     }
 
@@ -393,54 +403,65 @@ impl Store {
     }
 }
 
-/// An ordered cursor over one table's records.
-///
-/// Buffers one leaf page of records at a time: the store lock is taken
-/// once per leaf, and memory held is one leaf's worth regardless of table
-/// size.
-pub struct ScanCursor {
-    store: Store,
-    next_leaf: Option<u32>,
-    buf: Vec<(u64, Vec<u8>)>,
-    idx: usize,
+/// Turns one stored record into a scan item. It runs while the record's
+/// leaf page is pinned and the store is locked, so it reads the bytes in
+/// place and must not call back into the store.
+pub trait Decode {
+    /// What the scan yields per record.
+    type Item;
+    /// Decode the record stored under `rowid`.
+    fn decode(&mut self, rowid: u64, record: &[u8]) -> Self::Item;
 }
 
-impl Iterator for ScanCursor {
-    type Item = Result<(u64, Vec<u8>)>;
+impl<T, F: FnMut(u64, &[u8]) -> T> Decode for F {
+    type Item = T;
+
+    fn decode(&mut self, rowid: u64, record: &[u8]) -> T {
+        self(rowid, record)
+    }
+}
+
+/// The cursor of [`Store::scan`]: `(rowid, record bytes)` per row.
+pub type RecordScan = ScanCursor<fn(u64, &[u8]) -> (u64, Vec<u8>)>;
+
+/// An ordered cursor over one table's records, decoded by `D`.
+///
+/// Holds one leaf page's decoded items at a time: the store lock is taken
+/// once per leaf, and memory held is one leaf's worth regardless of table
+/// size.
+pub struct ScanCursor<D: Decode> {
+    store: Store,
+    next_leaf: Option<u32>,
+    buf: VecDeque<D::Item>,
+    decode: D,
+}
+
+impl<D: Decode> Iterator for ScanCursor<D> {
+    type Item = Result<D::Item>;
 
     fn next(&mut self) -> Option<Self::Item> {
         loop {
-            if self.idx < self.buf.len() {
-                let item = std::mem::take(&mut self.buf[self.idx]);
-                self.idx += 1;
+            if let Some(item) = self.buf.pop_front() {
                 return Some(Ok(item));
             }
             let leaf = self.next_leaf?;
             let mut inner = self.store.lock();
             let inner = &mut *inner;
+            let (buf, decode) = (&mut self.buf, &mut self.decode);
             let loaded = inner.pool.with_page(&mut inner.pager, leaf, |p| {
-                let cells: Vec<(u64, Vec<u8>)> = (0..p.nslots())
-                    .map(|i| {
-                        let c = p.cell(i);
-                        let key = u64::from_le_bytes(c[..8].try_into().expect("key bytes"));
-                        (key, c[8..].to_vec())
-                    })
-                    .collect();
-                (cells, p.extra())
+                buf.extend((0..p.nslots()).map(|i| {
+                    let c = p.cell(i);
+                    let key = u64::from_le_bytes(c[..8].try_into().expect("key bytes"));
+                    decode.decode(key, &c[8..])
+                }));
+                p.extra()
             });
             match loaded {
                 Err(e) => {
                     self.next_leaf = None;
                     return Some(Err(e));
                 }
-                Ok((cells, next)) => {
-                    self.buf = cells;
-                    self.idx = 0;
-                    self.next_leaf = if next == 0 { None } else { Some(next) };
-                    if self.buf.is_empty() && self.next_leaf.is_none() {
-                        return None;
-                    }
-                }
+                Ok(next) => self.next_leaf = (next != 0).then_some(next),
             }
         }
     }

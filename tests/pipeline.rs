@@ -526,3 +526,101 @@ fn print_flush_survives_early_return() {
     j.call("f", vec![RtValue::int(-1)]).unwrap();
     assert_eq!(j.output, vec!["start", "end"]);
 }
+
+/// Programs whose deepest point nests `n` levels below a statement's
+/// expression (see `imp::parser::MAX_NESTING`), one per kind of nesting:
+/// parentheses, call arguments, unary operators, field suffixes, nested
+/// `if`s, and nested `if`s in an extractable loop.
+fn nested_programs(n: usize) -> Vec<(&'static str, String)> {
+    let stmts = n - 2;
+    let ifs = |k: usize| "if (x > 0) { ".repeat(k);
+    vec![
+        (
+            "parentheses",
+            format!(
+                "fn f(x) {{ return {}x{}; }}",
+                "(".repeat(stmts),
+                ")".repeat(stmts)
+            ),
+        ),
+        (
+            "call arguments",
+            format!(
+                "fn f(x) {{ return {}x{}; }}",
+                "abs(".repeat(stmts),
+                ")".repeat(stmts)
+            ),
+        ),
+        (
+            "unary operators",
+            format!("fn f(x) {{ return {}x; }}", "- ".repeat(stmts)),
+        ),
+        (
+            "field suffixes",
+            format!("fn f(x) {{ return pair(x, x){}; }}", ".first".repeat(stmts)),
+        ),
+        (
+            "nested ifs",
+            format!(
+                "fn f(x) {{ {}return x; {}return 0; }}",
+                ifs(stmts),
+                "} ".repeat(stmts)
+            ),
+        ),
+        (
+            "ifs in a loop",
+            format!(
+                "fn f(x) {{ rows = executeQuery(\"SELECT * FROM emp\"); n = 0; \
+                 for (e in rows) {{ {}n = n + 1; {}}} return n; }}",
+                "if (e.salary > x) { ".repeat(stmts - 1),
+                "} ".repeat(stmts - 1)
+            ),
+        ),
+    ]
+}
+
+/// Run `f` on a thread with a 2 MiB stack, the default size of the
+/// service's worker threads.
+fn on_small_stack<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+    std::thread::Builder::new()
+        .stack_size(2 << 20)
+        .spawn(f)
+        .expect("spawn a thread")
+        .join()
+        .expect("no panic")
+}
+
+#[test]
+fn nesting_at_the_limit_parses_extracts_and_runs_on_a_small_stack() {
+    for (kind, src) in nested_programs(imp::parser::MAX_NESTING) {
+        on_small_stack(move || {
+            let program = imp::parse_and_normalize(&src).unwrap_or_else(|e| panic!("{kind}: {e}"));
+            let db = gen_emp(20, 1);
+            let catalog = db.catalog();
+            let report = Extractor::new(catalog.clone()).extract_program(&program);
+            eqsql_core::lint_program(&program, &catalog, &ExtractorOptions::default());
+            for p in [&program, &report.program] {
+                let mut run = Interp::new(p, Connection::new(db.clone()));
+                // The field-suffix program fails at run time (`.first` of a
+                // scalar); every other one returns a value.
+                let r = run.call("f", vec![RtValue::int(3)]);
+                assert_eq!(r.is_ok(), kind != "field suffixes", "{kind}: {r:?}");
+            }
+        });
+    }
+}
+
+#[test]
+fn nesting_past_the_limit_is_a_parse_error() {
+    let limit = imp::parser::MAX_NESTING;
+    for n in [limit + 1, 2_000, 20_000] {
+        for (kind, src) in nested_programs(n) {
+            let err =
+                on_small_stack(move || imp::parse_and_normalize(&src).map(|_| ())).expect_err(kind);
+            assert!(
+                err.message.contains(&format!("limit of {limit}")),
+                "{kind} at {n}: {err}"
+            );
+        }
+    }
+}
