@@ -51,6 +51,21 @@ if [ "$status" -eq 0 ] || [ "$status" -ge 128 ] || ! grep -q "limit of [0-9]* le
 fi
 rm -f "$DEEP" "$DEEP.err"
 
+echo "==> eqsql lint on a 20,000-term operator chain (no abort)"
+# Chain gate: `x + x + … + x` parses in a loop but builds one tree level
+# per operator, which every later pass recurses over. Past the parser's
+# limit it must be a parse error naming the limit, not a stack overflow.
+CHAIN="$(mktemp)"
+awk 'BEGIN { s = "x"; for (i = 1; i < 20000; i++) s = s " + x";
+             print "fn f(x) { return " s "; }" }' > "$CHAIN"
+status=0
+target/release/eqsql lint "$CHAIN" 2> "$CHAIN.err" || status=$?
+if [ "$status" -eq 0 ] || [ "$status" -ge 128 ] || ! grep -q "limit of [0-9]* levels" "$CHAIN.err"; then
+    echo "operator chain: exit $status, stderr: $(cat "$CHAIN.err")" >&2
+    exit 1
+fi
+rm -f "$CHAIN" "$CHAIN.err"
+
 echo "==> eqsql fuzz (deterministic smoke)"
 # Differential-fuzzing gate (DESIGN.md §5f): 200 generated programs run
 # under the interpreter and through the extractor must agree exactly. The

@@ -9,7 +9,11 @@
 //! far below the table size, the imperative sum loop and its extracted
 //! SQL both execute through the volcano executor, and the simulated
 //! round-trip/transfer costs plus buffer-pool hit rates are reported.
-//! Writes `BENCH_storage.json` at the repo root.
+//! Each size reports two speedups side by side: `speedup_sim`, the ratio
+//! of the cost model's simulated times (round trips and bytes on a
+//! modelled network), and `speedup_wall`, the ratio of real wall-clock
+//! times on this machine, each side's median over [`REPEATS`] interleaved
+//! runs. Writes `BENCH_storage.json` at the repo root.
 //!
 //! Modes:
 //!
@@ -33,6 +37,10 @@ use interp::Interp;
 /// the smallest measured table (10⁴ rows ≈ 130 pages) and ~3 orders of
 /// magnitude below the largest — every size is a larger-than-memory run.
 const FRAMES: usize = 64;
+
+/// Runs per side and size; the two sides alternate, and the wall time
+/// reported is each side's median.
+const REPEATS: usize = 5;
 
 /// Row counts measured in the full sweep.
 const SIZES: [usize; 3] = [10_000, 100_000, 1_000_000];
@@ -102,8 +110,15 @@ fn measure(rows: usize) -> (Json, f64) {
         .extract_function(&program, "total");
     assert_eq!(report.loops_rewritten, 1, "sum loop must extract");
 
-    let imperative = run_side(&program, &db);
-    let extracted = run_side(&report.program, &db);
+    let (mut imperative, mut extracted) = (Vec::new(), Vec::new());
+    let mut pool = None;
+    for _ in 0..REPEATS {
+        imperative.push(run_side(&program, &db));
+        extracted.push(run_side(&report.program, &db));
+        // Buffer-pool counters of one pass over each side.
+        pool.get_or_insert_with(|| st.pool_stats());
+    }
+    let (imperative, extracted) = (median_run(imperative), median_run(extracted));
     assert!(
         interp::value::loose_eq(&imperative.result, &extracted.result),
         "imperative and extracted results must agree: {} vs {}",
@@ -111,8 +126,9 @@ fn measure(rows: usize) -> (Json, f64) {
         extracted.result
     );
 
-    let pool = st.pool_stats();
+    let pool = pool.expect("at least one run");
     let speedup = imperative.sim_us / extracted.sim_us;
+    let speedup_wall = imperative.wall_ms / extracted.wall_ms;
     let record = Json::Obj(vec![
         ("rows".into(), Json::int(rows as i64)),
         ("pages".into(), Json::int(pages as i64)),
@@ -120,6 +136,7 @@ fn measure(rows: usize) -> (Json, f64) {
         ("imperative".into(), run_json(&imperative)),
         ("extracted".into(), run_json(&extracted)),
         ("speedup_sim".into(), Json::Num(speedup)),
+        ("speedup_wall".into(), Json::Num(speedup_wall)),
         (
             "bufpool".into(),
             Json::Obj(vec![
@@ -131,12 +148,22 @@ fn measure(rows: usize) -> (Json, f64) {
         ),
     ]);
     eprintln!(
-        "rows {rows}: {pages} pages, speedup {speedup:.1}x, \
+        "rows {rows}: {pages} pages, speedup {speedup:.1}x simulated, \
+         {speedup_wall:.2}x wall ({:.1} vs {:.1} ms), \
          bufpool hit rate {:.3} ({} evictions)",
+        imperative.wall_ms,
+        extracted.wall_ms,
         pool.hit_rate(),
         pool.evictions
     );
     (record, speedup)
+}
+
+/// The run with the median wall time (the runs of one side differ in
+/// nothing else).
+fn median_run(mut runs: Vec<Run>) -> Run {
+    runs.sort_by(|a, b| a.wall_ms.total_cmp(&b.wall_ms));
+    runs.swap_remove(runs.len() / 2)
 }
 
 /// Structural comparison of a freshly generated document against the
@@ -165,6 +192,7 @@ fn check_against_tracked(doc: &Json, tracked_path: &std::path::Path) {
             "imperative",
             "extracted",
             "speedup_sim",
+            "speedup_wall",
             "bufpool",
         ] {
             assert!(

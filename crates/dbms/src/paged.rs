@@ -11,7 +11,7 @@
 
 use std::borrow::Cow;
 
-use storage::{fnv64, Decode, ScanCursor, StorageError, Store, TableStatistics, MAX_RECORD};
+use storage::{fnv64, ScanCursor, StorageError, Store, TableStatistics, MAX_RECORD};
 
 use crate::table::Row;
 use crate::value::Value;
@@ -46,20 +46,24 @@ pub fn encode_row(row: &[Value]) -> Vec<u8> {
     out
 }
 
-/// Decode a record produced by [`encode_row`] into a row of `keep.len()`
-/// values, the table's width. A column whose `keep` flag is set decodes;
-/// any other is skipped in the byte stream and reads as NULL, allocating
-/// nothing. Panics on malformed bytes — records only ever come back from a
+/// Decode a record produced by [`encode_row`] into `row`, which ends up
+/// holding one value per encoded value (the table's width). A column whose
+/// `keep` flag is set decodes; any other is skipped in the byte stream and
+/// reads as NULL. `row` is the caller's buffer, reused from record to record: a
+/// text column decodes into the `String` its slot already holds, so a
+/// scan that reuses one row allocates nothing once its strings have grown
+/// to size. Panics on malformed bytes — records only ever come back from a
 /// checksummed page, so corruption is caught at the pager layer first.
-pub fn decode_row(mut bytes: &[u8], keep: &[bool]) -> Row {
+pub fn decode_row(mut bytes: &[u8], keep: &[bool], row: &mut Row) {
     fn take<'a>(bytes: &mut &'a [u8], n: usize) -> &'a [u8] {
         let (head, tail) = bytes.split_at(n);
         *bytes = tail;
         head
     }
-    let mut row = Vec::with_capacity(keep.len());
+    row.reserve(keep.len().saturating_sub(row.len()));
+    let mut width = 0;
     while !bytes.is_empty() {
-        let kept = keep.get(row.len()) == Some(&true);
+        let kept = keep.get(width) == Some(&true);
         let tag = take(&mut bytes, 1)[0];
         let payload = match tag {
             0 => 0,
@@ -69,20 +73,29 @@ pub fn decode_row(mut bytes: &[u8], keep: &[bool]) -> Row {
             other => panic!("corrupt record: unknown value tag {other}"),
         };
         let payload = take(&mut bytes, payload);
-        row.push(match tag {
+        if width == row.len() {
+            row.push(Value::Null);
+        }
+        let slot = &mut row[width];
+        width += 1;
+        *slot = match tag {
             _ if !kept => Value::Null,
             0 => Value::Null,
             1 => Value::Bool(payload[0] != 0),
             2 => Value::Int(i64::from_le_bytes(payload.try_into().expect("8 bytes"))),
             3 => Value::Float(f64::from_le_bytes(payload.try_into().expect("8 bytes"))),
-            _ => Value::Str(
-                std::str::from_utf8(payload)
-                    .expect("UTF-8 string")
-                    .to_string(),
-            ),
-        });
+            _ => {
+                let text = std::str::from_utf8(payload).expect("UTF-8 string");
+                if let Value::Str(s) = slot {
+                    s.clear();
+                    s.push_str(text);
+                    continue;
+                }
+                Value::Str(text.to_string())
+            }
+        };
     }
-    row
+    row.truncate(width);
 }
 
 /// Hash a value for the NDV sketch; `None` for SQL NULL. Hashes go through
@@ -172,24 +185,27 @@ impl PagedTable {
     }
 
     /// Apply `decide` to every row, in two phases. Phase 1 runs the
-    /// decisions over one `(rowid, record)` scan of the current contents
-    /// and encodes every replacement; an oversized one fails here, before
-    /// anything is written. Phase 2 rewrites or removes the chosen rows in
-    /// place by rowid, so survivors keep their scan positions. A
-    /// replacement that encodes to the stored bytes is skipped.
+    /// decisions over one lending scan of the current contents, decoding
+    /// each record into one reused row, and encodes every replacement; an
+    /// oversized one fails here, before anything is written. A replacement
+    /// that encodes to the stored bytes, compared in place, is dropped.
+    /// Phase 2 rewrites or removes the chosen rows in place by rowid, so
+    /// survivors keep their scan positions.
     pub fn edit(
         &mut self,
         mut decide: impl FnMut(&[Value]) -> RowEdit,
     ) -> Result<(), StorageError> {
         let mut writes: Vec<(u64, Option<Vec<u8>>)> = Vec::new();
         let every = vec![true; self.width()];
-        for item in self.store.scan(&self.name)? {
-            let (rowid, record) = item?;
-            match decide(&decode_row(&record, &every)) {
+        let mut row = Row::new();
+        let mut cursor = self.store.cursor(&self.name)?;
+        while let Some((rowid, record)) = cursor.next_record()? {
+            decode_row(record, &every, &mut row);
+            match decide(&row) {
                 RowEdit::Keep => {}
                 RowEdit::Delete => writes.push((rowid, None)),
-                RowEdit::Replace(row) => {
-                    let new = checked_record(&row)?;
+                RowEdit::Replace(new) => {
+                    let new = checked_record(&new)?;
                     if new != record {
                         writes.push((rowid, Some(new)));
                     }
@@ -223,14 +239,12 @@ impl PagedTable {
     }
 
     /// An ordered scan (insertion order) decoding the columns `keep` marks
-    /// (one flag per column) in place on each leaf; the others read as
+    /// (one flag per column) into the caller's row; the others read as
     /// NULL.
     pub fn scan<'a>(&self, keep: Cow<'a, [bool]>) -> PagedScan<'a> {
         PagedScan {
-            cursor: self
-                .store
-                .scan_with(&self.name, RowDecoder { keep })
-                .expect("scan stored table"),
+            cursor: self.store.cursor(&self.name).expect("scan stored table"),
+            keep,
         }
     }
 
@@ -238,9 +252,11 @@ impl PagedTable {
     /// first when an in-place write left them stale.
     pub fn statistics(&self) -> TableStatistics {
         let every = vec![true; self.width()];
+        let mut row = Row::new();
         self.store
             .statistics_with(&self.name, |record| {
-                decode_row(record, &every).iter().map(value_hash).collect()
+                decode_row(record, &every, &mut row);
+                row.iter().map(value_hash).collect()
             })
             .expect("statistics for stored table")
     }
@@ -251,29 +267,24 @@ impl PagedTable {
     }
 }
 
-/// [`decode_row`] as a scan decoder.
-struct RowDecoder<'a> {
+/// A paged table's rows in insertion order, each decoded into a row the
+/// caller passes in (see [`PagedScan::next_into`]).
+pub struct PagedScan<'a> {
+    cursor: ScanCursor,
     keep: Cow<'a, [bool]>,
 }
 
-impl Decode for RowDecoder<'_> {
-    type Item = Row;
-
-    fn decode(&mut self, _rowid: u64, record: &[u8]) -> Row {
-        decode_row(record, &self.keep)
-    }
-}
-
-/// Iterator over a paged table's rows in insertion order.
-pub struct PagedScan<'a> {
-    cursor: ScanCursor<RowDecoder<'a>>,
-}
-
-impl Iterator for PagedScan<'_> {
-    type Item = Row;
-
-    fn next(&mut self) -> Option<Row> {
-        Some(self.cursor.next()?.expect("scan stored table"))
+impl PagedScan<'_> {
+    /// Decode the next row into `row`, reusing its allocations; `false`
+    /// past the last row.
+    pub fn next_into(&mut self, row: &mut Row) -> bool {
+        match self.cursor.next_record().expect("scan stored table") {
+            Some((_, record)) => {
+                decode_row(record, &self.keep, row);
+                true
+            }
+            None => false,
+        }
     }
 }
 
@@ -291,15 +302,26 @@ mod tests {
             Value::Str("héllo".into()),
             Value::Str(String::new()),
         ];
+        let decode = |bytes: &[u8], keep: &[bool]| {
+            let mut out = Row::new();
+            decode_row(bytes, keep, &mut out);
+            out
+        };
         let every = [true; 6];
-        assert_eq!(decode_row(&encode_row(&row), &every), row);
-        assert_eq!(decode_row(&[], &[]), Vec::<Value>::new());
+        assert_eq!(decode(&encode_row(&row), &every), row);
+        assert_eq!(decode(&[], &[]), Vec::<Value>::new());
         // Unkept columns are skipped, whatever their tag, and read as NULL.
         let keep = [false, false, true, false, false, true];
         let mut want = vec![Value::Null; 6];
         want[2] = Value::Int(-42);
         want[5] = Value::Str(String::new());
-        assert_eq!(decode_row(&encode_row(&row), &keep), want);
+        assert_eq!(decode(&encode_row(&row), &keep), want);
+        // A reused row is overwritten slot by slot, whatever it held.
+        let mut reused = vec![Value::Str("stale".into()), Value::Int(7)];
+        decode_row(&encode_row(&row), &every, &mut reused);
+        assert_eq!(reused, row);
+        decode_row(&encode_row(&row), &keep, &mut reused);
+        assert_eq!(reused, want);
     }
 
     #[test]
@@ -318,7 +340,12 @@ mod tests {
             .collect();
         t.insert_all(&rows).unwrap();
         assert_eq!(t.len(), 300);
-        let rows: Vec<Row> = t.scan(Cow::Owned(vec![true; 2])).collect();
+        let mut scan = t.scan(Cow::Owned(vec![true; 2]));
+        let mut rows: Vec<Row> = Vec::new();
+        let mut row = Row::new();
+        while scan.next_into(&mut row) {
+            rows.push(row.clone());
+        }
         assert_eq!(rows.len(), 300);
         assert_eq!(rows[0][0], Value::Int(0));
         assert_eq!(rows[299][1], Value::Str("s2".into()));

@@ -180,30 +180,49 @@ impl Table {
     }
 }
 
-/// Iterator over a table's rows in insertion order (see
-/// [`Table::scan_columns`]).
+/// A table's rows in insertion order (see [`Table::scan_columns`]): an
+/// iterator of owned rows, or, through [`TableScan::next_into`], a fill of
+/// the caller's row.
 pub struct TableScan<'a>(Scan<'a>);
 
 enum Scan<'a> {
-    /// Cloning iterator over in-memory rows and the columns to clone.
+    /// In-memory rows and the columns to copy.
     Mem(std::slice::Iter<'a, Row>, Cow<'a, [bool]>),
     /// Decoding scan over B-tree leaves.
     Paged(crate::paged::PagedScan<'a>),
+}
+
+impl TableScan<'_> {
+    /// Overwrite `row` with the next row, reusing its allocations (a paged
+    /// row decodes into it, an in-memory one is copied with `clone_from`);
+    /// `false` past the last row.
+    pub fn next_into(&mut self, row: &mut Row) -> bool {
+        match &mut self.0 {
+            Scan::Mem(rows, keep) => {
+                let Some(src) = rows.next() else {
+                    return false;
+                };
+                row.resize(src.len().min(keep.len()), Value::Null);
+                for ((slot, v), &kept) in row.iter_mut().zip(src).zip(keep.iter()) {
+                    if kept {
+                        slot.clone_from(v);
+                    } else {
+                        *slot = Value::Null;
+                    }
+                }
+                true
+            }
+            Scan::Paged(it) => it.next_into(row),
+        }
+    }
 }
 
 impl Iterator for TableScan<'_> {
     type Item = Row;
 
     fn next(&mut self) -> Option<Row> {
-        match &mut self.0 {
-            Scan::Mem(rows, keep) => rows.next().map(|row| {
-                row.iter()
-                    .zip(keep.iter())
-                    .map(|(v, &kept)| if kept { v.clone() } else { Value::Null })
-                    .collect()
-            }),
-            Scan::Paged(it) => it.next(),
-        }
+        let mut row = Row::new();
+        self.next_into(&mut row).then_some(row)
     }
 }
 

@@ -6,7 +6,7 @@ use std::fmt;
 use algebra::scalar::Lit;
 
 /// A runtime SQL value.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub enum Value {
     /// SQL `NULL`.
     Null,
@@ -18,6 +18,27 @@ pub enum Value {
     Float(f64),
     /// String.
     Str(String),
+}
+
+impl Clone for Value {
+    fn clone(&self) -> Value {
+        match self {
+            Value::Null => Value::Null,
+            Value::Bool(b) => Value::Bool(*b),
+            Value::Int(i) => Value::Int(*i),
+            Value::Float(f) => Value::Float(*f),
+            Value::Str(s) => Value::Str(s.clone()),
+        }
+    }
+
+    /// Text copies into the `String` `self` already holds, reusing its
+    /// allocation; the executor refills reused rows this way.
+    fn clone_from(&mut self, source: &Value) {
+        match (self, source) {
+            (Value::Str(s), Value::Str(src)) => s.clone_from(src),
+            (this, _) => *this = source.clone(),
+        }
+    }
 }
 
 impl Value {

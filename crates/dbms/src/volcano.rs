@@ -5,13 +5,15 @@
 //! [`Node`]s: every scalar becomes a [`Bound`] expression whose columns are
 //! slots at some scope depth, each node knows its output fields, and each
 //! base-table scan knows which columns it decodes. Operators are then built
-//! over that tree; each pulls one row at a time from its child and
-//! evaluates through the bound slots, reading values by reference. Scans,
-//! filters, projections, `LIMIT` and aliases stream; over a paged table the
-//! scan holds one B-tree leaf at a time. Pipeline breakers hold only their
-//! own state: τ buffers its input (a blocking operator, as the paper treats
-//! it), γ one accumulator set per group, δ the distinct rows seen, and a
-//! join its right side.
+//! over that tree; each pulls one row at a time from its child into a
+//! buffer the caller owns (see [`Op`]) and evaluates through the bound
+//! slots, reading values by reference. Scans, filters, projections, `LIMIT`
+//! and aliases stream, and scan → σ → γ/π run through one reused row, so a
+//! streaming read allocates nothing per row; over a paged table the scan
+//! holds a copy of one B-tree leaf at a time. Pipeline breakers hold only
+//! their own state: τ buffers its input (a blocking operator, as the paper
+//! treats it), γ one accumulator set per group, δ the distinct rows seen,
+//! and a join its right side.
 //!
 //! **Column pruning.** The binder collects every column name any scalar of
 //! the plan names, subqueries included and qualifiers ignored. A base-table
@@ -90,13 +92,9 @@ pub fn execute(ra: &RaExpr, db: &Database, params: &[Value]) -> Result<Relation,
             probe: None,
         },
     );
-    let mut rows = Vec::new();
-    while let Some(row) = op.next()? {
-        rows.push(row);
-    }
     Ok(Relation {
         fields: root.fields().to_vec(),
-        rows,
+        rows: drain(&mut *op)?,
     })
 }
 
@@ -442,7 +440,8 @@ impl FirstRow for Exec<'_> {
             .expect("subqueries are bound with their plan")
             .as_ref()
             .map_err(Clone::clone)?;
-        build(
+        let mut row = Row::new();
+        let found = build(
             node,
             Ctx {
                 exec: self,
@@ -450,7 +449,8 @@ impl FirstRow for Exec<'_> {
                 probe: None,
             },
         )
-        .next()
+        .next(&mut row)?;
+        Ok(found.then_some(row))
     }
 }
 
@@ -486,11 +486,52 @@ impl Ctx<'_> {
         };
         Ok(e.eval(Some(&scope), self.exec)?.into_owned())
     }
+
+    /// Overwrite `out` with the values of `items` on `row`, laid out as
+    /// `fields`, inside the outer scope. A value read in place is copied
+    /// into the slot's own allocation.
+    fn fill(
+        &self,
+        out: &mut Row,
+        items: &[Bound<'_>],
+        fields: &[Field],
+        row: &[Value],
+    ) -> Result<(), EvalError> {
+        let scope = Scope {
+            fields,
+            row,
+            parent: self.outer,
+        };
+        out.resize(items.len(), Value::Null);
+        for (slot, item) in out.iter_mut().zip(items) {
+            match item.eval(Some(&scope), self.exec)? {
+                Cow::Borrowed(v) => slot.clone_from(v),
+                Cow::Owned(v) => *slot = v,
+            }
+        }
+        Ok(())
+    }
 }
 
-/// One operator in the pipeline: yields rows one at a time.
+/// One operator in the pipeline. `next` overwrites the caller's `row` with
+/// the next row and returns `true`, or returns `false` past the last row;
+/// after `false` or an error, `row` holds nothing of use. The caller owns
+/// the buffer and passes the same one on every call, so an operator that
+/// hands it down (σ, `LIMIT`, the scan beneath them) or writes into it (π)
+/// reuses its allocations from row to row. Pipeline breakers keep rows, so
+/// they pull into buffers of their own and take those rows by value.
 trait Op {
-    fn next(&mut self) -> Result<Option<Row>, EvalError>;
+    fn next(&mut self, row: &mut Row) -> Result<bool, EvalError>;
+}
+
+/// Every remaining row of `op`, owned.
+fn drain(op: &mut dyn Op) -> Result<Vec<Row>, EvalError> {
+    let mut rows = Vec::new();
+    let mut row = Row::new();
+    while op.next(&mut row)? {
+        rows.push(std::mem::take(&mut row));
+    }
+    Ok(rows)
 }
 
 fn build<'a>(node: &'a Node<'a>, ctx: Ctx<'a>) -> Box<dyn Op + 'a> {
@@ -517,6 +558,7 @@ fn build<'a>(node: &'a Node<'a>, ctx: Ctx<'a>) -> Box<dyn Op + 'a> {
             input: build(input, ctx),
             fields: input.fields(),
             items,
+            input_row: Row::new(),
             ctx,
         }),
         Node::Join {
@@ -622,14 +664,15 @@ fn outer_only(e: &Scalar, inner: &[Field]) -> bool {
 }
 
 /// Base-table scan in insertion order (one leaf page resident at a time
-/// for paged tables), reading only the columns its node keeps.
+/// for paged tables), decoding only the columns its node keeps into the
+/// caller's row.
 struct SeqScan<'a> {
     scan: TableScan<'a>,
 }
 
 impl Op for SeqScan<'_> {
-    fn next(&mut self) -> Result<Option<Row>, EvalError> {
-        Ok(self.scan.next())
+    fn next(&mut self, row: &mut Row) -> Result<bool, EvalError> {
+        Ok(self.scan.next_into(row))
     }
 }
 
@@ -639,15 +682,18 @@ struct ValuesScan<'a> {
 }
 
 impl Op for ValuesScan<'_> {
-    fn next(&mut self) -> Result<Option<Row>, EvalError> {
-        Ok(self
-            .rows
-            .next()
-            .map(|r| r.iter().map(Value::from_lit).collect()))
+    fn next(&mut self, row: &mut Row) -> Result<bool, EvalError> {
+        let Some(lits) = self.rows.next() else {
+            return Ok(false);
+        };
+        row.clear();
+        row.extend(lits.iter().map(Value::from_lit));
+        Ok(true)
     }
 }
 
-/// σ — keep rows whose predicate is TRUE (not FALSE, not NULL).
+/// σ — keep rows whose predicate is TRUE (not FALSE, not NULL), tested in
+/// the caller's buffer.
 struct Filter<'a> {
     input: Box<dyn Op + 'a>,
     fields: &'a [Field],
@@ -656,39 +702,34 @@ struct Filter<'a> {
 }
 
 impl Op for Filter<'_> {
-    fn next(&mut self) -> Result<Option<Row>, EvalError> {
-        while let Some(row) = self.input.next()? {
-            if self.ctx.test(self.pred, self.fields, &row)? {
-                return Ok(Some(row));
+    fn next(&mut self, row: &mut Row) -> Result<bool, EvalError> {
+        while self.input.next(row)? {
+            if self.ctx.test(self.pred, self.fields, row)? {
+                return Ok(true);
             }
         }
-        Ok(None)
+        Ok(false)
     }
 }
 
-/// π — order-preserving, duplicate-keeping projection.
+/// π — order-preserving, duplicate-keeping projection: pulls into its own
+/// input buffer and writes its items into the caller's row.
 struct Project<'a> {
     input: Box<dyn Op + 'a>,
     fields: &'a [Field],
     items: &'a [Bound<'a>],
+    input_row: Row,
     ctx: Ctx<'a>,
 }
 
 impl Op for Project<'_> {
-    fn next(&mut self) -> Result<Option<Row>, EvalError> {
-        let Some(row) = self.input.next()? else {
-            return Ok(None);
-        };
-        let scope = Scope {
-            fields: self.fields,
-            row: &row,
-            parent: self.ctx.outer,
-        };
-        self.items
-            .iter()
-            .map(|i| Ok(i.eval(Some(&scope), self.ctx.exec)?.into_owned()))
-            .collect::<Result<Row, _>>()
-            .map(Some)
+    fn next(&mut self, row: &mut Row) -> Result<bool, EvalError> {
+        if !self.input.next(&mut self.input_row)? {
+            return Ok(false);
+        }
+        self.ctx
+            .fill(row, self.items, self.fields, &self.input_row)?;
+        Ok(true)
     }
 }
 
@@ -706,21 +747,19 @@ struct Join<'a> {
 }
 
 impl Op for Join<'_> {
-    fn next(&mut self) -> Result<Option<Row>, EvalError> {
+    fn next(&mut self, row: &mut Row) -> Result<bool, EvalError> {
         loop {
-            if let Some(row) = self.out.pop_front() {
-                return Ok(Some(row));
+            if let Some(next) = self.out.pop_front() {
+                *row = next;
+                return Ok(true);
             }
             if self.built.is_none() {
-                let mut rows = Vec::new();
-                while let Some(row) = self.right.next()? {
-                    rows.push(row);
-                }
-                self.built = Some(rows);
+                self.built = Some(drain(&mut *self.right)?);
             }
-            let Some(lrow) = self.left.next()? else {
-                return Ok(None);
-            };
+            let mut lrow = Row::new();
+            if !self.left.next(&mut lrow)? {
+                return Ok(false);
+            }
             let mut matched = false;
             for rrow in self.built.as_ref().expect("right side drained") {
                 let combined = joined(&lrow, rrow.iter().cloned(), self.fields.len());
@@ -770,14 +809,16 @@ struct Apply<'a> {
 }
 
 impl Op for Apply<'_> {
-    fn next(&mut self) -> Result<Option<Row>, EvalError> {
+    fn next(&mut self, row: &mut Row) -> Result<bool, EvalError> {
         loop {
-            if let Some(row) = self.out.pop_front() {
-                return Ok(Some(row));
+            if let Some(next) = self.out.pop_front() {
+                *row = next;
+                return Ok(true);
             }
-            let Some(lrow) = self.left.next()? else {
-                return Ok(None);
-            };
+            let mut lrow = Row::new();
+            if !self.left.next(&mut lrow)? {
+                return Ok(false);
+            }
             let scope = Scope {
                 fields: self.left_fields,
                 row: &lrow,
@@ -794,8 +835,9 @@ impl Op for Apply<'_> {
             // Every inner row but the last joins a copy of the outer row;
             // the last one, or the NULL padding, takes it by move.
             let mut last = None;
-            while let Some(irow) = inner.next()? {
-                if let Some(prev) = last.replace(irow) {
+            let mut irow = Row::new();
+            while inner.next(&mut irow)? {
+                if let Some(prev) = last.replace(std::mem::take(&mut irow)) {
                     self.out.push_back(joined(&lrow, prev, self.width));
                 }
             }
@@ -886,7 +928,7 @@ struct BucketScan<'a> {
 }
 
 impl Op for BucketScan<'_> {
-    fn next(&mut self) -> Result<Option<Row>, EvalError> {
+    fn next(&mut self, row: &mut Row) -> Result<bool, EvalError> {
         let (rows, index) = self.probe.built(self.keep);
         if self.hits.is_none() {
             // The key reads no column of the table, so the outer scope
@@ -900,7 +942,11 @@ impl Op for BucketScan<'_> {
             );
         }
         let hits = self.hits.as_mut().expect("key evaluated");
-        Ok(hits.next().map(|&i| rows[i].clone()))
+        let Some(&i) = hits.next() else {
+            return Ok(false);
+        };
+        row.clone_from(&rows[i]);
+        Ok(true)
     }
 }
 
@@ -915,16 +961,17 @@ struct Sort<'a> {
 }
 
 impl Op for Sort<'_> {
-    fn next(&mut self) -> Result<Option<Row>, EvalError> {
+    fn next(&mut self, row: &mut Row) -> Result<bool, EvalError> {
         if self.buf.is_none() {
             let mut decorated: Vec<(Vec<Value>, Row)> = Vec::new();
-            while let Some(row) = self.input.next()? {
+            let mut input = Row::new();
+            while self.input.next(&mut input)? {
                 let ks = self
                     .keys
                     .iter()
-                    .map(|(k, _)| self.ctx.value(k, self.fields, &row))
+                    .map(|(k, _)| self.ctx.value(k, self.fields, &input))
                     .collect::<Result<Vec<_>, _>>()?;
-                decorated.push((ks, row));
+                decorated.push((ks, std::mem::take(&mut input)));
             }
             let keys = self.keys;
             decorated.sort_by(|(a, _), (b, _)| {
@@ -948,7 +995,21 @@ impl Op for Sort<'_> {
                     .into_iter(),
             );
         }
-        Ok(self.buf.as_mut().expect("sorted buffer").next())
+        Ok(refill(
+            row,
+            self.buf.as_mut().expect("sorted buffer").next(),
+        ))
+    }
+}
+
+/// Move `next`, if any, into the caller's buffer.
+fn refill(row: &mut Row, next: Option<Row>) -> bool {
+    match next {
+        Some(next) => {
+            *row = next;
+            true
+        }
+        None => false,
     }
 }
 
@@ -961,15 +1022,15 @@ struct Dedup<'a> {
 }
 
 impl Op for Dedup<'_> {
-    fn next(&mut self) -> Result<Option<Row>, EvalError> {
-        while let Some(row) = self.input.next()? {
+    fn next(&mut self, row: &mut Row) -> Result<bool, EvalError> {
+        while self.input.next(row)? {
             let seen = &self.seen;
-            if self.groups.find(&row, |i| &seen[i]).is_err() {
+            if self.groups.find(row, |i| &seen[i]).is_err() {
                 self.seen.push(row.clone());
-                return Ok(Some(row));
+                return Ok(true);
             }
         }
-        Ok(None)
+        Ok(false)
     }
 }
 
@@ -981,17 +1042,12 @@ struct Limit<'a> {
 }
 
 impl Op for Limit<'_> {
-    fn next(&mut self) -> Result<Option<Row>, EvalError> {
-        if self.remaining == 0 {
-            return Ok(None);
+    fn next(&mut self, row: &mut Row) -> Result<bool, EvalError> {
+        if self.remaining == 0 || !self.input.next(row)? {
+            return Ok(false);
         }
-        match self.input.next()? {
-            Some(row) => {
-                self.remaining -= 1;
-                Ok(Some(row))
-            }
-            None => Ok(None),
-        }
+        self.remaining -= 1;
+        Ok(true)
     }
 }
 
@@ -1029,28 +1085,28 @@ impl Aggregate<'_> {
         Ok(())
     }
 
+    /// Run the input to its end through one reused row (and one reused
+    /// key row), returning the output rows.
     fn drain(&mut self) -> Result<Vec<Row>, EvalError> {
+        let mut row = Row::new();
         if self.group_by.is_empty() {
             // Empty input still yields one row: fresh accumulators finish
             // to COUNT 0 and NULL.
             let mut accs = self.accumulators();
-            while let Some(row) = self.input.next()? {
+            while self.input.next(&mut row)? {
                 self.feed(&mut accs, &row)?;
             }
             return Ok(vec![accs.into_iter().map(Accumulator::finish).collect()]);
         }
         let mut groups = Groups::default();
         let mut state: Vec<(Row, Vec<Accumulator>)> = Vec::new();
-        while let Some(row) = self.input.next()? {
-            let keys = self
-                .group_by
-                .iter()
-                .map(|g| self.ctx.value(g, self.fields, &row))
-                .collect::<Result<Row, _>>()?;
+        let mut keys = Row::new();
+        while self.input.next(&mut row)? {
+            self.ctx.fill(&mut keys, self.group_by, self.fields, &row)?;
             let id = match groups.find(&keys, |i| &state[i].0) {
                 Ok(id) => id,
                 Err(id) => {
-                    state.push((keys, self.accumulators()));
+                    state.push((keys.clone(), self.accumulators()));
                     id
                 }
             };
@@ -1067,11 +1123,14 @@ impl Aggregate<'_> {
 }
 
 impl Op for Aggregate<'_> {
-    fn next(&mut self) -> Result<Option<Row>, EvalError> {
+    fn next(&mut self, row: &mut Row) -> Result<bool, EvalError> {
         if self.out.is_none() {
             self.out = Some(self.drain()?.into_iter());
         }
-        Ok(self.out.as_mut().expect("aggregate output").next())
+        Ok(refill(
+            row,
+            self.out.as_mut().expect("aggregate output").next(),
+        ))
     }
 }
 

@@ -34,10 +34,15 @@ impl From<LexError> for ParseError {
     }
 }
 
-/// How deeply a program may nest: expressions (each parenthesis, call
-/// argument list, unary operator and `.field`/`.method()` suffix) and
-/// statements (each statement inside a block or branch body) count one
-/// level each. Every later pass — normalization, analysis, extraction,
+/// How deeply a program may nest: expressions (each statement's
+/// expression, parenthesis, call argument, unary operator and
+/// `.field`/`.method()` suffix) and statements (each statement inside a
+/// block or branch body) count one level each. A chain of binary
+/// operators, such as `x + x + … + x`, parses in a loop but builds one
+/// tree node per operator, so binary operators count by the height of the
+/// tree they build: one level above the taller operand, except that the
+/// operator at the top of an expression shares the level the expression
+/// itself counts. Every later pass — normalization, analysis, extraction,
 /// interpretation — recurses over the tree, so a program at this depth
 /// runs through all of them on a 2 MiB thread stack; a deeper one is a
 /// [`ParseError`] instead of a stack overflow.
@@ -51,6 +56,7 @@ pub fn parse_program(src: &str) -> Result<Program, ParseError> {
         pos: 0,
         next_id: 0,
         depth: 0,
+        peak: 0,
     };
     let mut functions = Vec::new();
     while !p.at(&TokenKind::Eof) {
@@ -59,12 +65,23 @@ pub fn parse_program(src: &str) -> Result<Program, ParseError> {
     Ok(Program { functions })
 }
 
+/// The error for input nested past [`MAX_NESTING`], at byte `offset`.
+fn too_deep(offset: usize) -> ParseError {
+    ParseError {
+        message: format!("nesting deeper than the limit of {MAX_NESTING} levels"),
+        offset,
+    }
+}
+
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
     next_id: u32,
     /// Nesting levels entered and not yet left (see [`MAX_NESTING`]).
     depth: usize,
+    /// The deepest level the expression being parsed reaches (see
+    /// [`Parser::chain`]).
+    peak: usize,
 }
 
 impl Parser {
@@ -133,11 +150,10 @@ impl Parser {
     /// Enter one nesting level, failing past [`MAX_NESTING`].
     fn enter(&mut self) -> Result<(), ParseError> {
         if self.depth == MAX_NESTING {
-            return Err(self.err(format!(
-                "nesting deeper than the limit of {MAX_NESTING} levels"
-            )));
+            return Err(too_deep(self.span().start));
         }
         self.depth += 1;
+        self.peak = self.peak.max(self.depth);
         Ok(())
     }
 
@@ -340,87 +356,91 @@ impl Parser {
         }
     }
 
-    fn or_expr(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.and_expr()?;
-        while self.at(&TokenKind::OrOr) {
-            self.bump();
-            let rhs = self.and_expr()?;
-            lhs = Expr::Binary(BinaryOp::Or, Box::new(lhs), Box::new(rhs));
+    /// Parse `operand` and return it with its height: how many levels
+    /// below the current depth its tree reaches.
+    fn measured(
+        &mut self,
+        operand: impl FnOnce(&mut Self) -> Result<Expr, ParseError>,
+    ) -> Result<(Expr, usize), ParseError> {
+        let outer = std::mem::replace(&mut self.peak, self.depth);
+        let e = operand(self)?;
+        let height = self.peak - self.depth;
+        self.peak = self.peak.max(outer);
+        Ok((e, height))
+    }
+
+    /// A left-associative chain `operand (op operand)*`, where `op` maps a
+    /// token to its operator. Each operator becomes a node one level above
+    /// the taller of the chain so far and the next operand. A chain runs at
+    /// its expression's level, which its top node shares, so its tree may
+    /// reach one level past [`MAX_NESTING`]; the operator that would take
+    /// it further fails. The height reported outward (`peak`) keeps that
+    /// shared level, so the allowance is granted once per expression, not
+    /// once per chain.
+    fn chain(
+        &mut self,
+        operand: impl Fn(&mut Self) -> Result<Expr, ParseError> + Copy,
+        op: impl Fn(&TokenKind) -> Option<BinaryOp>,
+    ) -> Result<Expr, ParseError> {
+        let (mut lhs, mut height) = self.measured(operand)?;
+        while let Some(op) = op(self.peek()) {
+            let at = self.bump().span.start;
+            let (rhs, rhs_height) = self.measured(operand)?;
+            height = height.max(rhs_height) + 1;
+            if self.depth + height > MAX_NESTING + 1 {
+                return Err(too_deep(at));
+            }
+            self.peak = self.peak.max(self.depth + height);
+            lhs = Expr::Binary(op, Box::new(lhs), Box::new(rhs));
         }
         Ok(lhs)
+    }
+
+    fn or_expr(&mut self) -> Result<Expr, ParseError> {
+        self.chain(Self::and_expr, |t| {
+            matches!(t, TokenKind::OrOr).then_some(BinaryOp::Or)
+        })
     }
 
     fn and_expr(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.equality()?;
-        while self.at(&TokenKind::AndAnd) {
-            self.bump();
-            let rhs = self.equality()?;
-            lhs = Expr::Binary(BinaryOp::And, Box::new(lhs), Box::new(rhs));
-        }
-        Ok(lhs)
+        self.chain(Self::equality, |t| {
+            matches!(t, TokenKind::AndAnd).then_some(BinaryOp::And)
+        })
     }
 
     fn equality(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.relational()?;
-        loop {
-            let op = match self.peek() {
-                TokenKind::EqEq => BinaryOp::Eq,
-                TokenKind::NotEq => BinaryOp::Ne,
-                _ => break,
-            };
-            self.bump();
-            let rhs = self.relational()?;
-            lhs = Expr::Binary(op, Box::new(lhs), Box::new(rhs));
-        }
-        Ok(lhs)
+        self.chain(Self::relational, |t| match t {
+            TokenKind::EqEq => Some(BinaryOp::Eq),
+            TokenKind::NotEq => Some(BinaryOp::Ne),
+            _ => None,
+        })
     }
 
     fn relational(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.additive()?;
-        loop {
-            let op = match self.peek() {
-                TokenKind::Lt => BinaryOp::Lt,
-                TokenKind::Le => BinaryOp::Le,
-                TokenKind::Gt => BinaryOp::Gt,
-                TokenKind::Ge => BinaryOp::Ge,
-                _ => break,
-            };
-            self.bump();
-            let rhs = self.additive()?;
-            lhs = Expr::Binary(op, Box::new(lhs), Box::new(rhs));
-        }
-        Ok(lhs)
+        self.chain(Self::additive, |t| match t {
+            TokenKind::Lt => Some(BinaryOp::Lt),
+            TokenKind::Le => Some(BinaryOp::Le),
+            TokenKind::Gt => Some(BinaryOp::Gt),
+            TokenKind::Ge => Some(BinaryOp::Ge),
+            _ => None,
+        })
     }
 
     fn additive(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.multiplicative()?;
-        loop {
-            let op = match self.peek() {
-                TokenKind::Plus => BinaryOp::Add,
-                TokenKind::Minus => BinaryOp::Sub,
-                _ => break,
-            };
-            self.bump();
-            let rhs = self.multiplicative()?;
-            lhs = Expr::Binary(op, Box::new(lhs), Box::new(rhs));
-        }
-        Ok(lhs)
+        self.chain(Self::multiplicative, |t| match t {
+            TokenKind::Plus => Some(BinaryOp::Add),
+            TokenKind::Minus => Some(BinaryOp::Sub),
+            _ => None,
+        })
     }
 
     fn multiplicative(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.unary()?;
-        loop {
-            let op = match self.peek() {
-                TokenKind::Star => BinaryOp::Mul,
-                TokenKind::Slash => BinaryOp::Div,
-                TokenKind::Percent => BinaryOp::Mod,
-                _ => break,
-            };
-            self.bump();
-            let rhs = self.unary()?;
-            lhs = Expr::Binary(op, Box::new(lhs), Box::new(rhs));
-        }
-        Ok(lhs)
+        self.chain(Self::unary, |t| match t {
+            TokenKind::Star => Some(BinaryOp::Mul),
+            TokenKind::Slash => Some(BinaryOp::Div),
+            TokenKind::Percent => Some(BinaryOp::Mod),
+            _ => None,
+        })
     }
 
     fn unary(&mut self) -> Result<Expr, ParseError> {

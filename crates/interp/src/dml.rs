@@ -80,7 +80,6 @@ fn store_error<E: std::fmt::Display>(table: &str) -> impl Fn(E) -> DmlError + '_
 /// case-insensitively, starting at byte `from`. Returns its byte offset.
 fn find_top_kw(s: &str, kw: &str, from: usize) -> Option<usize> {
     let bytes = s.as_bytes();
-    let lower: Vec<u8> = bytes.iter().map(|b| b.to_ascii_lowercase()).collect();
     let kwb = kw.as_bytes();
     let is_word = |b: u8| b.is_ascii_alphanumeric() || b == b'_';
     let mut depth = 0usize;
@@ -102,7 +101,9 @@ fn find_top_kw(s: &str, kw: &str, from: usize) -> Option<usize> {
             _ => {
                 if depth == 0
                     && i >= from
-                    && lower[i..].starts_with(kwb)
+                    && bytes[i..]
+                        .get(..kwb.len())
+                        .is_some_and(|w| w.eq_ignore_ascii_case(kwb))
                     && (i == 0 || !is_word(bytes[i - 1]))
                     && (i + kwb.len() == bytes.len() || !is_word(bytes[i + kwb.len()]))
                 {

@@ -141,8 +141,9 @@ impl BufferPool {
         }
         self.stats.misses += 1;
         GLOBAL_MISSES.fetch_add(1, Ordering::Relaxed);
-        let page = pager.read_page(id)?;
         let slot = if self.frames.len() < self.budget {
+            let mut page = Page::default();
+            pager.read_into(id, &mut page)?;
             self.frames.push(Frame {
                 id,
                 page,
@@ -152,15 +153,15 @@ impl BufferPool {
             });
             self.frames.len() - 1
         } else {
+            // The page is read into the victim's own buffer: a miss in a
+            // full pool allocates nothing.
             let victim = self.pick_victim();
             self.evict(pager, victim)?;
-            self.frames[victim] = Frame {
-                id,
-                page,
-                dirty: false,
-                pins: 0,
-                last_used: 0,
-            };
+            let frame = &mut self.frames[victim];
+            frame.id = u32::MAX;
+            frame.last_used = 0;
+            pager.read_into(id, &mut frame.page)?;
+            frame.id = id;
             victim
         };
         self.map.insert(id, slot);

@@ -39,7 +39,7 @@ pub mod store;
 pub use btree::MAX_RECORD;
 pub use bufpool::{global_counters, BufPoolStats};
 pub use stats::{ColumnStats, StatsBuilder, TableStatistics};
-pub use store::{Decode, RecordScan, ScanCursor, Store};
+pub use store::{RecordScan, ScanCursor, Store};
 
 /// Errors surfaced by the storage layer.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -18,12 +18,13 @@
 //! layer clones whole `Database` values freely (the fuzzer runs the
 //! original and the extracted program against clones), and paged tables in
 //! those clones share this one store read-only. Scans lock per *leaf
-//! page*, not per row — a [`ScanCursor`] decodes one leaf's records at a
-//! time, in place on the pinned page, so concurrent cursors (nested
-//! correlated loops) interleave without deadlock and memory stays bounded
-//! by the leaf size, not the table size.
+//! page*, not per row — a [`ScanCursor`] copies one leaf at a time out of
+//! the buffer pool (one memcpy, under the lock) and lends its records from
+//! that private copy, so concurrent cursors (nested correlated loops)
+//! interleave without deadlock and memory stays bounded by one page per
+//! cursor, not the table size.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -36,7 +37,10 @@ use crate::stats::{StatsBuilder, TableStatistics};
 use crate::{Result, StorageError};
 
 const MAGIC: u32 = 0x4551_5353; // "EQSS"
-const VERSION: u16 = 1;
+/// Format version 2: pages carry the word-at-a-time checksum of
+/// [`crate::pager`]. A version-1 file (byte-wise FNV-1a checksums) fails
+/// verification of its meta page and does not open.
+const VERSION: u16 = 2;
 
 /// Default buffer-pool frame budget (64 frames = 256 KiB of cache).
 pub const DEFAULT_FRAMES: usize = 64;
@@ -301,8 +305,9 @@ impl Store {
         };
         if let Some(ncols) = stale {
             let mut stats = StatsBuilder::new(ncols);
-            for hashes in self.scan_with(table, |_, record: &[u8]| hash_record(record))? {
-                stats.observe_row(&hashes?);
+            let mut cursor = self.cursor(table)?;
+            while let Some((_, record)) = cursor.next_record()? {
+                stats.observe_row(&hash_record(record));
             }
             let mut inner = self.lock();
             let entry = entry_mut(&mut inner.dir, table)?;
@@ -315,15 +320,12 @@ impl Store {
     /// Begin an ordered scan of `table` (rowid order = insertion order)
     /// yielding each record's rowid and a copy of its bytes.
     pub fn scan(&self, table: &str) -> Result<RecordScan> {
-        fn copy(rowid: u64, record: &[u8]) -> (u64, Vec<u8>) {
-            (rowid, record.to_vec())
-        }
-        self.scan_with(table, copy)
+        Ok(RecordScan(self.cursor(table)?))
     }
 
-    /// Begin an ordered scan of `table` that yields what `decode` makes of
-    /// each record, read in place on its pinned leaf page.
-    pub fn scan_with<D: Decode>(&self, table: &str, decode: D) -> Result<ScanCursor<D>> {
+    /// Begin an ordered scan of `table` that lends each record in turn
+    /// (see [`ScanCursor`]).
+    pub fn cursor(&self, table: &str) -> Result<ScanCursor> {
         let mut inner = self.lock();
         let inner = &mut *inner;
         let root = inner
@@ -335,8 +337,8 @@ impl Store {
         Ok(ScanCursor {
             store: self.clone(),
             next_leaf: Some(leaf),
-            buf: VecDeque::new(),
-            decode,
+            leaf: Page::default(),
+            slot: 0,
         })
     }
 
@@ -403,67 +405,64 @@ impl Store {
     }
 }
 
-/// Turns one stored record into a scan item. It runs while the record's
-/// leaf page is pinned and the store is locked, so it reads the bytes in
-/// place and must not call back into the store.
-pub trait Decode {
-    /// What the scan yields per record.
-    type Item;
-    /// Decode the record stored under `rowid`.
-    fn decode(&mut self, rowid: u64, record: &[u8]) -> Self::Item;
+/// An ordered cursor over one table's records that lends each record in
+/// turn: [`ScanCursor::next_record`] returns its rowid and bytes, borrowed
+/// until the next call.
+///
+/// The cursor owns one page buffer. On reaching a leaf it copies the
+/// leaf's image into that buffer, taking the store lock for that copy
+/// only; records are then read from the copy without the lock. A scan of
+/// `n` leaves takes the lock `n` times and allocates one page, whatever
+/// the row count.
+pub struct ScanCursor {
+    store: Store,
+    next_leaf: Option<u32>,
+    /// Private copy of the current leaf; empty (no slots) before the first.
+    leaf: Page,
+    /// Next slot of `leaf` to lend.
+    slot: usize,
 }
 
-impl<T, F: FnMut(u64, &[u8]) -> T> Decode for F {
-    type Item = T;
-
-    fn decode(&mut self, rowid: u64, record: &[u8]) -> T {
-        self(rowid, record)
+impl ScanCursor {
+    /// The next record's rowid and bytes, or `None` past the last. After an
+    /// error the cursor is exhausted.
+    pub fn next_record(&mut self) -> Result<Option<(u64, &[u8])>> {
+        while self.slot == self.leaf.nslots() {
+            let Some(id) = self.next_leaf.take() else {
+                return Ok(None);
+            };
+            let mut inner = self.store.lock();
+            let inner = &mut *inner;
+            let copy = &mut self.leaf;
+            inner
+                .pool
+                .with_page(&mut inner.pager, id, |p| copy.0.copy_from_slice(&p.0[..]))?;
+            let next = self.leaf.extra();
+            self.next_leaf = (next != 0).then_some(next);
+            self.slot = 0;
+        }
+        let cell = self.leaf.cell(self.slot);
+        self.slot += 1;
+        let (key, record) = cell.split_at(8);
+        Ok(Some((
+            u64::from_le_bytes(key.try_into().expect("8-byte key")),
+            record,
+        )))
     }
 }
 
-/// The cursor of [`Store::scan`]: `(rowid, record bytes)` per row.
-pub type RecordScan = ScanCursor<fn(u64, &[u8]) -> (u64, Vec<u8>)>;
+/// The iterator of [`Store::scan`]: `(rowid, record bytes)` per row, each
+/// record copied out of a [`ScanCursor`].
+pub struct RecordScan(ScanCursor);
 
-/// An ordered cursor over one table's records, decoded by `D`.
-///
-/// Holds one leaf page's decoded items at a time: the store lock is taken
-/// once per leaf, and memory held is one leaf's worth regardless of table
-/// size.
-pub struct ScanCursor<D: Decode> {
-    store: Store,
-    next_leaf: Option<u32>,
-    buf: VecDeque<D::Item>,
-    decode: D,
-}
-
-impl<D: Decode> Iterator for ScanCursor<D> {
-    type Item = Result<D::Item>;
+impl Iterator for RecordScan {
+    type Item = Result<(u64, Vec<u8>)>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        loop {
-            if let Some(item) = self.buf.pop_front() {
-                return Some(Ok(item));
-            }
-            let leaf = self.next_leaf?;
-            let mut inner = self.store.lock();
-            let inner = &mut *inner;
-            let (buf, decode) = (&mut self.buf, &mut self.decode);
-            let loaded = inner.pool.with_page(&mut inner.pager, leaf, |p| {
-                buf.extend((0..p.nslots()).map(|i| {
-                    let c = p.cell(i);
-                    let key = u64::from_le_bytes(c[..8].try_into().expect("key bytes"));
-                    decode.decode(key, &c[8..])
-                }));
-                p.extra()
-            });
-            match loaded {
-                Err(e) => {
-                    self.next_leaf = None;
-                    return Some(Err(e));
-                }
-                Ok(next) => self.next_leaf = (next != 0).then_some(next),
-            }
-        }
+        self.0
+            .next_record()
+            .map(|r| r.map(|(rowid, record)| (rowid, record.to_vec())))
+            .transpose()
     }
 }
 
@@ -704,6 +703,47 @@ mod tests {
             s.update("missing", 1, b"x"),
             Err(StorageError::UnknownTable(_))
         ));
+    }
+
+    #[test]
+    fn a_version_1_store_is_rejected_as_corrupt() {
+        use std::io::{Read, Seek, SeekFrom, Write};
+        let path =
+            std::env::temp_dir().join(format!("eqsql-store-v1-test-{}.pages", std::process::id()));
+        {
+            let s = Store::create(&path, 8).unwrap();
+            s.create_table("t", 1).unwrap();
+            for i in 0..300u64 {
+                s.append("t", &record(i), &[Some(i)]).unwrap();
+            }
+            s.flush().unwrap();
+        }
+        // Rewrite the file as format version 1 wrote it: version 1 in the
+        // meta page, every page sealed with byte-wise FNV-1a.
+        let mut file = std::fs::OpenOptions::new()
+            .read(true)
+            .write(true)
+            .open(&path)
+            .unwrap();
+        let pages = file.metadata().unwrap().len() / PAGE_SIZE as u64;
+        let mut image = [0u8; PAGE_SIZE];
+        for id in 0..pages {
+            file.seek(SeekFrom::Start(id * PAGE_SIZE as u64)).unwrap();
+            file.read_exact(&mut image).unwrap();
+            if id == 0 {
+                image[HEADER + 4..HEADER + 6].copy_from_slice(&1u16.to_le_bytes());
+            }
+            let v1 = crate::fnv64(&image[4..]) as u32;
+            image[..4].copy_from_slice(&v1.to_le_bytes());
+            file.seek(SeekFrom::Start(id * PAGE_SIZE as u64)).unwrap();
+            file.write_all(&image).unwrap();
+        }
+        drop(file);
+        assert!(matches!(
+            Store::open(&path, 8),
+            Err(StorageError::Corrupt(_))
+        ));
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]

@@ -624,3 +624,81 @@ fn nesting_past_the_limit_is_a_parse_error() {
         }
     }
 }
+
+/// Programs whose deepest point nests `n` levels through binary-operator
+/// chains (see `imp::parser::MAX_NESTING`), which parse in a loop but build
+/// one tree level per operator: a long `+` chain, a long `&&` chain of
+/// comparisons, parenthesized chains nested inside one another, and a long
+/// sum in an extractable loop.
+fn chained_programs(n: usize) -> Vec<(&'static str, String)> {
+    // A return's expression counts two levels (function body, expression),
+    // a loop body's assignment three; the top operator shares the last.
+    let terms = |ops: usize, term: &str, op: &str| vec![term; ops + 1].join(op);
+    vec![
+        (
+            "additive chain",
+            format!("fn f(x) {{ return {}; }}", terms(n - 1, "x", " + ")),
+        ),
+        (
+            "logical chain",
+            // `x > 0` is one level; each `&&` adds one above it.
+            format!("fn f(x) {{ return {}; }}", terms(n - 2, "x > 0", " && ")),
+        ),
+        (
+            "nested chains",
+            // `(e) + x` is two levels above `e`.
+            format!(
+                "fn f(x) {{ return {}x{}{}; }}",
+                "(".repeat((n - 1) / 2),
+                ") + x".repeat((n - 1) / 2),
+                " + x".repeat((n - 1) % 2)
+            ),
+        ),
+        (
+            "sum in a loop",
+            // `e.salary` is one level; each `+` adds one above it.
+            format!(
+                "fn f(x) {{ rows = executeQuery(\"SELECT * FROM emp\"); n = 0; \
+                 for (e in rows) {{ n = {}; }} return n; }}",
+                terms(n - 3, "e.salary", " + ")
+            ),
+        ),
+    ]
+}
+
+#[test]
+fn operator_chains_at_the_limit_parse_extract_and_run_on_a_small_stack() {
+    for (kind, src) in chained_programs(imp::parser::MAX_NESTING) {
+        on_small_stack(move || {
+            let program = imp::parse_and_normalize(&src).unwrap_or_else(|e| panic!("{kind}: {e}"));
+            let db = gen_emp(20, 1);
+            let catalog = db.catalog();
+            let report = Extractor::new(catalog.clone()).extract_program(&program);
+            eqsql_core::lint_program(&program, &catalog, &ExtractorOptions::default());
+            let results: Vec<_> = [&program, &report.program]
+                .into_iter()
+                .map(|p| {
+                    let mut run = Interp::new(p, Connection::new(db.clone()));
+                    run.call("f", vec![RtValue::int(3)])
+                        .unwrap_or_else(|e| panic!("{kind}: {e}"))
+                })
+                .collect();
+            assert_eq!(results[0], results[1], "{kind}");
+        });
+    }
+}
+
+#[test]
+fn operator_chains_past_the_limit_are_parse_errors() {
+    let limit = imp::parser::MAX_NESTING;
+    for n in [limit + 1, 2_000, 20_000] {
+        for (kind, src) in chained_programs(n) {
+            let err =
+                on_small_stack(move || imp::parse_and_normalize(&src).map(|_| ())).expect_err(kind);
+            assert!(
+                err.message.contains(&format!("limit of {limit}")),
+                "{kind} at {n}: {err}"
+            );
+        }
+    }
+}
